@@ -19,12 +19,12 @@ import sys
 from repro import (
     CacheConfig,
     OramConfig,
+    Simulation,
     SystemConfig,
     fork_path_scheduler,
     traditional_scheduler,
 )
 from repro.analysis.report import format_table
-from repro.memsys.system import simulate_system
 from repro.workloads.mixes import mix_benchmarks, mix_names
 
 
@@ -55,8 +55,7 @@ def main(mix: str) -> None:
 
     rows = []
     for name, config in variants:
-        result = simulate_system(
-            config,
+        result = Simulation(config).run_system(
             benchmarks,
             instructions_per_core=200_000,
             seed=1,

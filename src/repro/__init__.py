@@ -24,9 +24,6 @@ Public API tour
   label_queue_size=1)`` for traditional Path ORAM on the same stack).
 * :mod:`repro.workloads` — SPEC/PARSEC stand-ins and the Table 2 mixes.
 * :mod:`repro.experiments` — one module per paper figure (10-19).
-
-Deprecated: :func:`repro.simulate_system` (use
-``Simulation(config).run_system(...)``).
 """
 
 from repro.config import (
@@ -58,7 +55,7 @@ from repro.errors import (
     StashOverflowError,
     TransientBackendError,
 )
-from repro.memsys.system import FullSystemResult, simulate_system
+from repro.memsys.system import FullSystemResult
 from repro.obs import (
     JsonlSink,
     NullTracer,
@@ -103,7 +100,6 @@ __all__ = [
     "StashOverflowError",
     "TransientBackendError",
     "FullSystemResult",
-    "simulate_system",
     "Simulation",
     "RunResult",
     "Tracer",

@@ -162,7 +162,7 @@ class ClusterService(ServiceFrontEnd):
     async def _paced_loop(self) -> None:
         """Pacer-driven dispatch (``pace.mode != "off"``).
 
-        One dispatch round per pace slot: the pacer's deadline chain
+        One dispatch round per pace slot: the pacer's deadline grid
         clocks the whole cluster, so the K per-shard timelines advance
         in lockstep on a traffic-independent schedule — a round with no
         client work anywhere still visits every shard with a pure-dummy

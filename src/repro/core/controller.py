@@ -174,11 +174,6 @@ class ForkPathController:
         if config.recursion.enabled and config.recursion.plb_entries > 0:
             self.plb = PosMapLookasideBuffer(config.recursion.plb_entries)
 
-        #: Use the batched data plane (one memory/DRAM call per path
-        #: segment). ``False`` selects the per-node reference loops —
-        #: same trace, counters and timing; equivalence tests toggle it.
-        self.batched = True
-
         # Per-access config scalars, resolved once — the config is not
         # mutated after construction.
         self._issue_period_ns = config.issue_period_ns
@@ -544,15 +539,9 @@ class ForkPathController:
             read_end = self.dram.access_many(dram_nodes, False, self.clock_ns)
             # Memory-side (adversary-visible) timestamps carry the DRAM
             # completion time of the burst, matching the timing model.
-            if self.batched:
-                self.stash.add_all(
-                    self.memory.read_many_blocks(dram_nodes, read_end)
-                )
-            else:
-                read_blocks = self.memory.read_blocks
-                add_all = self.stash.add_all
-                for node_id in dram_nodes:
-                    add_all(read_blocks(node_id, read_end))
+            self.stash.add_all(
+                self.memory.read_many_blocks(dram_nodes, read_end)
+            )
         record.read_nodes = len(read_nodes)
         record.dram_read_nodes = len(dram_nodes)
         record.read_end_ns = read_end
@@ -615,13 +604,12 @@ class ForkPathController:
         dram_written_nodes = 0
         level = geometry.levels
         if (
-            self.batched
-            and no_cache
+            no_cache
             and level >= retain
             and not (allow_takeover and next_entry.target_addr is None)
         ):
-            # Batched refill: when the next scheduled access is real, no
-            # dummy takeover can interrupt the countdown (the legacy
+            # Segment refill: when the next scheduled access is real, no
+            # dummy takeover can interrupt the countdown (the per-node
             # loop's mid-refill _admit/_find_replacement only run when
             # the next entry is a dummy), so the whole segment collapses
             # into one eviction sweep, one chained DRAM walk and one

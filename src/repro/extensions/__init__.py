@@ -3,21 +3,16 @@
 * :mod:`repro.extensions.plb` — the PosMap Lookaside Buffer of
   Freecursive ORAM (Fletcher et al., ASPLOS'15), which short-circuits
   recursion chains whose PosMap blocks were recently used.
-* :mod:`repro.extensions.background_eviction` — the background
-  eviction of Ren et al. (ISCA'13), which bounds stash occupancy at
-  high DRAM utilisation by interleaving eviction-only dummy accesses.
 * :mod:`repro.extensions.integrity` — Merkle-tree integrity
   verification over the ORAM tree, the active-attack countermeasure the
   paper cites as combinable with ORAM.
 """
 
 from repro.extensions.plb import PosMapLookasideBuffer
-from repro.extensions.background_eviction import BackgroundEvictingOram
 from repro.extensions.integrity import MerkleMemory, IntegrityError
 
 __all__ = [
     "PosMapLookasideBuffer",
-    "BackgroundEvictingOram",
     "MerkleMemory",
     "IntegrityError",
 ]

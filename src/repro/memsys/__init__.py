@@ -4,7 +4,7 @@ that measures execution-time slowdown versus an insecure processor."""
 
 from repro.memsys.cache import SetAssociativeCache, CacheHierarchy
 from repro.memsys.processor import Core, CoreCluster
-from repro.memsys.system import FullSystemResult, InsecureMemorySystem, simulate_system
+from repro.memsys.system import FullSystemResult, InsecureMemorySystem
 
 __all__ = [
     "SetAssociativeCache",
@@ -13,5 +13,4 @@ __all__ = [
     "CoreCluster",
     "FullSystemResult",
     "InsecureMemorySystem",
-    "simulate_system",
 ]

@@ -6,14 +6,12 @@ against a plain DRAM memory system with no ORAM. The ratio of
 makespans is the paper's Figure 14 slowdown; the controller's energy
 model supplies Figure 15.
 
-The front door for these runs is :meth:`repro.Simulation.run_system`;
-:func:`simulate_system` here is a deprecated wrapper around it.
+The front door for these runs is :meth:`repro.Simulation.run_system`.
 """
 
 from __future__ import annotations
 
 import heapq
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -106,44 +104,6 @@ class FullSystemResult:
     @property
     def avg_oram_latency_ns(self) -> float:
         return self.metrics.avg_latency_ns
-
-
-def simulate_system(
-    config: SystemConfig,
-    benchmarks: List[BenchmarkSpec],
-    requests_per_core: int = 0,
-    seed: int = 0,
-    footprint_cap: Optional[int] = None,
-    shared_footprint: bool = False,
-    run_insecure: bool = True,
-    instructions_per_core: int = 0,
-) -> FullSystemResult:
-    """Deprecated wrapper around :meth:`repro.Simulation.run_system`.
-
-    Kept for backward compatibility; it cannot attach a tracer and will
-    be removed in a future release. Use::
-
-        Simulation(config).run_system(benchmarks, ...).full_system
-    """
-    warnings.warn(
-        "simulate_system() is deprecated; use "
-        "repro.Simulation(config).run_system(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.simulation import Simulation
-
-    result = Simulation(config).run_system(
-        benchmarks,
-        requests_per_core=requests_per_core,
-        seed=seed,
-        footprint_cap=footprint_cap,
-        shared_footprint=shared_footprint,
-        run_insecure=run_insecure,
-        instructions_per_core=instructions_per_core,
-    )
-    assert result.full_system is not None
-    return result.full_system
 
 
 def _required_blocks(

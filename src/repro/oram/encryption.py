@@ -82,10 +82,6 @@ class NullCipher(BucketCipher):
     on. The 16-byte counter prefix matches
     :class:`CounterModeCipher`'s layout, so counter harvesting (WAL
     recovery, promotion) is format-agnostic.
-
-    The legacy ``(counter, ((addr, leaf, payload), ...))`` tuple form
-    is still *opened* transparently, so stores and WALs written before
-    the flat data plane replay cleanly.
     """
 
     def __init__(self) -> None:
@@ -102,8 +98,6 @@ class NullCipher(BucketCipher):
         return bucket
 
     def open_blocks(self, sealed: object, capacity: int) -> List[Block]:
-        if type(sealed) is tuple:  # legacy sealed form
-            return [Block(a, l, p) for a, l, p in sealed[1]]
         return records.unpack_from(sealed)
 
     def seal_blocks(self, blocks: List[Block], capacity: int) -> bytes:

@@ -8,11 +8,13 @@ label is uniform. This module closes that channel (Cloak-style static
 timing protection, see docs/TEMPORAL.md):
 
 * :class:`Pacer` — drives the serve engine's turn loop on a configured
-  clock. One (real-or-dummy) ORAM access per *slot*; slots follow a
-  deadline chain whose gaps depend only on configuration and a private
-  seeded RNG, never on traffic. Under load the pacer re-anchors an
-  overrun deadline at *now* instead of issuing catch-up bursts, so load
-  can only stretch the timeline, never compress it.
+  clock. One (real-or-dummy) ORAM access per *slot*; slot deadlines lie
+  on an absolute grid — startup time plus the running sum of gaps that
+  depend only on configuration and a private seeded RNG, never on
+  traffic. An access that overruns its slot makes the pacer *skip*
+  whole grid slots (counted in :attr:`Pacer.overruns`) rather than
+  re-anchor at "now" or issue a catch-up burst, so no inter-slot gap
+  ever equals a load-dependent access duration.
 * :class:`AdaptiveDummyController` — re-tunes the cadence **between
   epochs** (never within one) from public queue-depth watermarks,
   trading dummy bandwidth against queueing latency inside hard
@@ -117,20 +119,37 @@ class AdaptiveDummyController:
         return outcome
 
 
+async def _sleep(seconds: float) -> None:
+    """Sleep in a worker thread and wake the loop when it returns.
+
+    ``asyncio.sleep`` cannot hit a grid deadline: the selector rounds
+    timer waits up to whole milliseconds *from the call*, so the pacer
+    would wake at ``access end + k ms`` and every gap would equal the
+    load-dependent access duration modulo 1 ms — which the temporal
+    verifier's KS bar detects. ``time.sleep`` in the default executor
+    wakes within tens of microseconds of the deadline whatever the
+    call time, and always yields the loop at least once.
+    """
+    await asyncio.get_running_loop().run_in_executor(None, time.sleep, seconds)
+
+
 class Pacer:
-    """Deadline-chain clock for paced access issue.
+    """Deadline-grid clock for paced access issue.
 
     ``await wait_for_slot()`` sleeps until the next slot deadline and
     returns the nanoseconds actually waited; the caller then runs
     exactly one (real-or-dummy) ORAM access and reports the slot with
-    :meth:`note_slot`. The next deadline extends the chain by the next
+    :meth:`note_slot`. Each deadline is the previous one plus the next
     configured gap — ``interval_ns`` in ``"fixed"`` mode, plus a
     uniform draw from ``[0, jitter_ns]`` off a private RNG in
-    ``"jittered"`` mode (one draw per slot regardless of load, so the
-    jitter stream is traffic-independent). If the access overran the
-    gap, the chain re-anchors at *now*: the pacer never issues
-    catch-up bursts, so the observable timeline is never *faster* than
-    the configured distribution.
+    ``"jittered"`` mode — so the deadlines form an absolute grid fixed
+    by the startup time, the configuration and the seed (one draw per
+    grid slot, issued or skipped, so the jitter stream is
+    traffic-independent). If the previous access ran past one or more
+    deadlines, those slots are skipped, each counted in the public
+    :attr:`overruns`, and the pacer sleeps to the first grid deadline
+    still in the future: no catch-up burst, no deadline re-anchored at
+    a load-dependent "now".
 
     ``clock`` must return nanoseconds (monotone); it defaults to
     :func:`time.perf_counter_ns` and is injectable for tests and for
@@ -155,6 +174,9 @@ class Pacer:
         self._deadline_ns: Optional[float] = None
         self.slots = 0
         self.dummy_slots = 0
+        #: Grid slots skipped because the previous access was still
+        #: running at their deadline.
+        self.overruns = 0
         self.waited_ns = 0.0
 
     @property
@@ -178,30 +200,29 @@ class Pacer:
         return gap
 
     def pending_deadline_ns(self) -> Optional[float]:
-        """The current slot deadline (None before the first wait)."""
+        """The next slot's grid deadline (None before the first wait)."""
         return self._deadline_ns
 
     async def wait_for_slot(self) -> float:
         """Sleep until the next slot deadline; returns ns waited."""
         start = self._clock()
-        if self._deadline_ns is None:
-            # First slot: anchor the deadline chain at startup.
-            self._deadline_ns = start + self.next_gap_ns()
-        slept = False
+        deadline = self._deadline_ns
+        if deadline is None:
+            # First slot: anchor the grid at startup.
+            deadline = start + self.next_gap_ns()
+        while deadline < start:
+            # The previous access overran this slot: skip it whole.
+            self.overruns += 1
+            deadline += self.next_gap_ns()
+        now = start
         while True:
+            # Always at least one scheduling point per slot, so other
+            # tasks (session handlers) keep making progress under load.
+            await _sleep(max(0.0, deadline - now) / 1e9)
             now = self._clock()
-            if now >= self._deadline_ns:
+            if now >= deadline:
                 break
-            slept = True
-            await asyncio.sleep((self._deadline_ns - now) / 1e9)
-        if not slept:
-            # Overrun slot: still yield once so other tasks (session
-            # handlers) keep making progress under sustained load.
-            await asyncio.sleep(0)
-        now = self._clock()
-        # Extend the chain; an overrun re-anchors at now so the pacer
-        # never compensates with a catch-up burst.
-        self._deadline_ns = max(self._deadline_ns, now) + self.next_gap_ns()
+        self._deadline_ns = deadline + self.next_gap_ns()
         waited = float(now - start)
         self.waited_ns += waited
         return waited

@@ -4,8 +4,8 @@
 recursion level, and a (normally empty) failure-repair table resident;
 every other label lives in packed PosMap blocks inside per-level ORAM
 trees stored through the engine's :class:`AsyncBucketStore` — the same
-backend, cipher, retry policy, batched data plane and WAL as the data
-tree, at node ids above the data tree's range.
+backend, cipher, retry policy, read and write-back steps and WAL as the
+data tree, at node ids above the data tree's range.
 
 A logical request becomes a *deepest-first chain*: the root map yields
 the leaf of the deepest PosMap block, each level's access reads that
@@ -18,8 +18,8 @@ access slot — so the public trace keeps a fixed, reconstructible shape
 Failure semantics mirror the flat engine:
 
 * a write-back failure re-inserts every collected block into that
-  level's stash (the stash copy supersedes the stale tree copy, the
-  same ambiguity contract as the data tree);
+  level's stash (the store's write-back step does it — the stash copy
+  supersedes the stale tree copy, as in the data tree);
 * a chain that aborts mid-way leaves a parent pointing at a label its
   child never adopted; the repair table (``_overrides``) pins the
   child's true label until the next chain through that block rewrites
@@ -207,14 +207,15 @@ class HierarchicalPositionMap:
         try:
             for state in reversed(self._levels):
                 leaf = state.level.geometry.random_leaf(self.rng)
-                path = await self._read_level_path(state, leaf, store)
-                await self._write_level_path(
-                    state, leaf, path, store, replicator
-                )
+                path = state.level.path_nodes(leaf)
+                stash = state.stash
+                await store.read_many_blocks(path, stash)
+                await store.write_many_blocks(stash, leaf, path, 0, replicator)
+                stash.check_persistent_occupancy()
                 chain_leaves.append(leaf)
         except BackendError:
             # No pointer was remapped, so no repair entry is needed;
-            # collected blocks were re-inserted by the write helper.
+            # collected blocks were re-inserted by the store.
             self.failed_chains += 1
             raise
         self.dummy_chains += 1
@@ -231,14 +232,17 @@ class HierarchicalPositionMap:
         store,
         replicator,
     ) -> Tuple[int, int]:
-        """One Path ORAM access on a level tree; returns the child's
-        ``(old, new)`` labels."""
+        """One Path ORAM access on a level tree — read the full path,
+        swap the child's label, greedy full-path eviction (leaf first)
+        — returns the child's ``(old, new)`` labels."""
         layout = self.layout
         level_index = state.level.index
         child_key = (level_index - 1, child_index)
         child_override = self._overrides.pop(child_key, None)
+        stash = state.stash
+        path = state.level.path_nodes(leaf)
         try:
-            path = await self._read_level_path(state, leaf, store)
+            await store.read_many_blocks(path, stash)
         except BackendError:
             # The parent (or root) already points at ``new_leaf``; the
             # block still lives on the old path. Pin the truth.
@@ -246,7 +250,6 @@ class HierarchicalPositionMap:
             if child_override is not None:
                 self._overrides[child_key] = child_override
             raise
-        stash = state.stash
         block = stash.get(block_index)
         if block is None:
             block = Block(block_index, new_leaf, layout.empty_payload())
@@ -266,70 +269,14 @@ class HierarchicalPositionMap:
         new_child = child_geometry.random_leaf(self.rng)
         block.payload = layout.write_slot(block.payload, slot, new_child)
         try:
-            await self._write_level_path(state, leaf, path, store, replicator)
+            await store.write_many_blocks(stash, leaf, path, 0, replicator)
         except BackendError:
             # The mutated block is stash-resident (authoritative), but
             # the chain aborts before the child adopts its fresh label.
             self._overrides[child_key] = old_child
             raise
-        return old_child, new_child
-
-    async def _read_level_path(
-        self, state: _LevelState, leaf: int, store
-    ) -> tuple:
-        """Read the full path into the level stash; returns the local
-        path node tuple (root first)."""
-        geometry = state.level.geometry
-        base = state.level.node_base
-        path = geometry.path_tuple(leaf)
-        sealed_buckets = await store.read_many_sealed(
-            [base + node for node in path]
-        )
-        open_blocks = store.cipher.open_blocks
-        z = store.bucket_slots
-        stash = state.stash
-        for sealed in sealed_buckets:
-            if sealed is None:
-                continue
-            stash.add_all(
-                block
-                for block in open_blocks(sealed, z)
-                if block.addr not in stash
-            )
-        return path
-
-    async def _write_level_path(
-        self, state: _LevelState, leaf: int, path: tuple, store, replicator
-    ) -> None:
-        """Greedy full-path eviction (leaf first), batched; with a
-        replicator the sealed buckets are WAL-logged before any write
-        reaches the backend, exactly like the data tree."""
-        geometry = state.level.geometry
-        base = state.level.node_base
-        z = store.bucket_slots
-        stash = state.stash
-        staged: List[Tuple[int, List[Block]]] = [
-            (base + path[level], stash.collect_for_node(leaf, level, z))
-            for level in range(geometry.levels, -1, -1)
-        ]
-        try:
-            if replicator is None:
-                await store.write_many_blocks(staged)
-            else:
-                cipher = store.cipher
-                sealed_pairs = [
-                    (node, cipher.seal_blocks(blocks, z))
-                    for node, blocks in staged
-                ]
-                replicator.log_access(leaf, sealed_pairs)
-                await store.write_many_sealed(sealed_pairs)
-        except BackendError:
-            # An ambiguous prefix may have landed; re-insert every
-            # staged block — stash copies supersede stale tree copies.
-            for _node, blocks in staged:
-                stash.add_all(blocks)
-            raise
         stash.check_persistent_occupancy()
+        return old_child, new_child
 
     # ------------------------------------------------------ checkpoint state
 

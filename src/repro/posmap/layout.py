@@ -13,7 +13,7 @@ each with its own tree geometry and a *node-id base* that places the
 level's buckets in the same ``StorageBackend`` namespace as the data
 tree (data tree owns ``0 .. num_nodes-1``, level 1 the next range, and
 so on). Sharing the namespace means the WAL, recovery replay, trace
-recording and batched ``get_many``/``put_many`` data plane all work on
+recording and the path-segment data plane all work on
 posmap buckets without modification.
 """
 
@@ -47,6 +47,11 @@ class PosmapLevel:
     @property
     def node_end(self) -> int:
         return self.node_base + self.geometry.num_nodes
+
+    def path_nodes(self, leaf: int) -> List[int]:
+        """Backend node ids of this level's path to ``leaf``, root first."""
+        base = self.node_base
+        return [base + node for node in self.geometry.path_tuple(leaf)]
 
 
 class PosmapLayout:

@@ -16,15 +16,16 @@ trace; :mod:`repro.security.replication` verifies the equivalence.
 Framing mirrors :class:`~repro.serve.backends.FileBackend`: each record
 is a fixed header plus CRC-checked body, recovery replays until the
 first short or corrupt record and truncates the torn tail. Sealed
-bucket values that are ``bytes`` are stored raw; anything else (the
-:class:`~repro.oram.encryption.NullCipher` tuple form) is pickled.
+bucket values are ``bytes`` and stored raw (write tag 0). Tag 1 — a
+serialised-object form older releases wrote — is never written or
+decoded; a CRC-valid record carrying it is an error, not a torn tail
+(truncating it would destroy an old log).
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import struct
 import zlib
 from dataclasses import dataclass
@@ -37,7 +38,9 @@ _RECORD = struct.Struct("<QqII")
 #: Per-write sub-header: node id, payload tag, payload length.
 _WRITE = struct.Struct("<qBI")
 _TAG_BYTES = 0
-_TAG_PICKLE = 1
+#: Retired serialised-object payloads: framing still understood (so the
+#: error can name the record), contents never decoded.
+_TAG_RETIRED = 1
 
 #: Default WAL file name inside a replica directory.
 WAL_FILENAME = "wal.log"
@@ -54,18 +57,14 @@ class WalRecord:
 
     seq: int
     leaf: int
-    writes: List[Tuple[int, object]]
+    writes: List[Tuple[int, bytes]]
 
     def encode(self) -> bytes:
         """Serialise to the framed wire/disk form."""
         body = bytearray()
         for node_id, sealed in self.writes:
-            if isinstance(sealed, (bytes, bytearray)):
-                tag, payload = _TAG_BYTES, bytes(sealed)
-            else:
-                tag, payload = _TAG_PICKLE, pickle.dumps(sealed)
-            body += _WRITE.pack(node_id, tag, len(payload))
-            body += payload
+            body += _WRITE.pack(node_id, _TAG_BYTES, len(sealed))
+            body += sealed
         header = _RECORD.pack(
             self.seq, self.leaf, len(self.writes), zlib.crc32(bytes(body))
         )
@@ -87,49 +86,36 @@ class WalRecord:
 
         Returns ``(record, end_offset)``, or ``(None, offset)`` when the
         bytes from ``offset`` are short or corrupt — the torn-tail
-        signal recovery stops on.
+        signal recovery stops on. An intact (CRC-valid) record holding
+        a retired tag-1 payload raises :class:`ReplicationError`: it is
+        an old log, not a torn one, and no payload byte is interpreted.
         """
         if offset + _RECORD.size > len(raw):
             return None, offset
         seq, leaf, num_writes, crc = _RECORD.unpack_from(raw, offset)
         cursor = offset + _RECORD.size
         body_start = cursor
-        writes: List[Tuple[int, object]] = []
+        writes: List[Tuple[int, bytes]] = []
+        retired = False
         for _ in range(num_writes):
             if cursor + _WRITE.size > len(raw):
                 return None, offset
             node_id, tag, length = _WRITE.unpack_from(raw, cursor)
             cursor += _WRITE.size
-            if cursor + length > len(raw) or tag not in (_TAG_BYTES, _TAG_PICKLE):
+            if cursor + length > len(raw) or tag not in (_TAG_BYTES, _TAG_RETIRED):
                 return None, offset
-            payload = raw[cursor : cursor + length]
+            retired = retired or tag == _TAG_RETIRED
+            writes.append((node_id, raw[cursor : cursor + length]))
             cursor += length
-            writes.append(
-                (node_id, payload if tag == _TAG_BYTES else pickle.loads(payload))
-            )
         if zlib.crc32(raw[body_start:cursor]) != crc:
             return None, offset
+        if retired:
+            raise ReplicationError(
+                f"WAL record seq {seq} at offset {offset} holds a tag-1 "
+                "(serialised-object) sealed value; that format is retired "
+                "and never decoded — an older release wrote this log"
+            )
         return cls(seq=seq, leaf=leaf, writes=writes), cursor
-
-
-def _sealed_counter(sealed: object) -> Optional[int]:
-    """Best-effort cipher write counter carried by a sealed bucket.
-
-    :class:`~repro.oram.encryption.CounterModeCipher` ciphertexts carry
-    the counter as a clear 16-byte little-endian prefix;
-    :class:`~repro.oram.encryption.NullCipher` sealed values are
-    ``(counter, slots)`` tuples. Anything else yields None.
-    """
-    if isinstance(sealed, (bytes, bytearray)) and len(sealed) >= 16:
-        return int.from_bytes(sealed[:16], "little")
-    if (
-        isinstance(sealed, tuple)
-        and sealed
-        and isinstance(sealed[0], int)
-        and not isinstance(sealed[0], bool)
-    ):
-        return sealed[0]
-    return None
 
 
 def max_sealed_counter(path: str) -> int:
@@ -141,10 +127,11 @@ def max_sealed_counter(path: str) -> int:
     log — even inside a record that will be truncated as torn, whose
     partially written sealed buckets still sit on disk — is burned. The
     walk is deliberately lenient: it keeps parsing past CRC failures
-    using the length fields alone, harvests a counter from any bytes
-    payload whose 16-byte prefix made it to disk, and stops only when
-    the framing itself gives out. Overshooting (reading garbage as a
-    huge counter) merely skips keystreams, which is always safe.
+    using the length fields alone, harvests the clear 16-byte
+    little-endian counter prefix (both ciphers' sealed layout) from any
+    payload whose prefix made it to disk, and stops only when the
+    framing itself gives out. Overshooting (reading garbage as a huge
+    counter) merely skips keystreams, which is always safe.
     """
     best = 0
     if not os.path.exists(path):
@@ -161,21 +148,13 @@ def max_sealed_counter(path: str) -> int:
                 parseable = False
                 break
             _node_id, tag, length = _WRITE.unpack_from(raw, cursor)
-            if tag not in (_TAG_BYTES, _TAG_PICKLE):
+            if tag not in (_TAG_BYTES, _TAG_RETIRED):
                 parseable = False
                 break
             cursor += _WRITE.size
             payload = raw[cursor : cursor + length]
-            counter: Optional[int] = None
-            if tag == _TAG_BYTES:
-                counter = _sealed_counter(payload)
-            elif len(payload) == length:  # complete pickle only
-                try:
-                    counter = _sealed_counter(pickle.loads(payload))
-                except Exception:
-                    counter = None
-            if counter is not None and counter > best:
-                best = counter
+            if tag == _TAG_BYTES and len(payload) >= 16:
+                best = max(best, int.from_bytes(payload[:16], "little"))
             if len(payload) < length:
                 parseable = False
                 break
@@ -236,7 +215,10 @@ class WriteAheadLog:
             raw = handle.read()
         offset = 0
         while offset < len(raw):
-            record, end = WalRecord.decode_from(raw, offset)
+            try:
+                record, end = WalRecord.decode_from(raw, offset)
+            except ReplicationError as exc:
+                raise ReplicationError(f"{self.path}: {exc}") from None
             if record is None:
                 self.torn_tail = True
                 break
@@ -332,14 +314,14 @@ class WriteAheadLog:
             )
         return raw[:end]
 
-    def replay_buckets(self, upto_seq: Optional[int] = None) -> Dict[int, object]:
+    def replay_buckets(self, upto_seq: Optional[int] = None) -> Dict[int, bytes]:
         """Last-wins bucket image of the log at ``upto_seq`` (None = all).
 
         This *is* the storage backend's contents at that access
         boundary — the recovery path materialises it into a fresh
         store.
         """
-        buckets: Dict[int, object] = {}
+        buckets: Dict[int, bytes] = {}
         for record in self.read_from(self.first_seq or 1):
             if upto_seq is not None and record.seq > upto_seq:
                 break

@@ -6,29 +6,29 @@ every access — each backend therefore carries an optional
 :class:`~repro.oram.memory.TraceRecorder`, the measurement point the
 security tests read.
 
-The contract is deliberately two-layered:
+The contract has two layers:
 
 * a **synchronous mapping protocol** (``get`` / ``__setitem__`` /
-  ``__contains__`` / ``__iter__`` / ``__len__``), duck-type compatible
-  with the dict inside :class:`~repro.oram.memory.UntrustedMemory`, so
-  any backend can also sit under the batch simulator via
+  ``__contains__`` / ``__iter__`` / ``__len__``) plus its batch forms
+  ``get_many`` / ``put_many``, duck-type compatible with the dict
+  inside :class:`~repro.oram.memory.UntrustedMemory`, so any backend
+  can also sit under the batch simulator via
   ``UntrustedMemory(..., backend=...)``;
-* **async twins** (``aget`` / ``aput``) used by the service engine,
-  where fault injection can express *time* (latency jitter, stalls that
-  trip the operation timeout) as well as errors.
+* **batch-only async ops** (``aget_many`` / ``aput_many``) — one call
+  per path segment, the only operations the service engine issues.
+  This is where fault injection can express *time* (latency jitter,
+  stalls that trip the operation timeout) as well as errors, and the
+  one place a fault injector or an instrumented backend overrides to
+  see every bucket the service moves.
 
-On top of both sit the **batched hot-path ops** — ``get_many`` /
-``put_many`` and ``aget_many`` / ``aput_many`` — one call per path
-segment. The defaults loop the per-node ops (and deliberately fall
-back to a per-node loop whenever ``aget``/``aput`` are overridden, so
-fault injectors and instrumentation still see every node); bundled
-backends override them to genuinely coalesce I/O while recording the
-exact per-node trace events the loop would have. Sealed values must be
-``bytes`` — anything else is a ``TypeError`` at the storage boundary.
+A batch records exactly the per-node trace events the equivalent
+per-node sequence would; :class:`FileBackend` additionally coalesces a
+write batch into one framed append. Sealed values must be ``bytes`` —
+anything else is a ``TypeError`` at the storage boundary.
 
 Three implementations:
 
-* :class:`InMemoryBackend` — a plain dict; zero overhead.
+* :class:`InMemoryBackend` — a plain dict.
 * :class:`FileBackend` — crash-safe append-log persistence: every put
   appends a CRC-framed record, recovery replays the log and stops at
   the first torn/corrupt tail record, and :meth:`FileBackend.compact`
@@ -42,9 +42,9 @@ Three implementations:
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import os
-import pickle
 import random
 import struct
 import zlib
@@ -66,12 +66,21 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(BACKEND_FACTORIES)
 
 
+def _not_bytes(sealed: object) -> TypeError:
+    """The storage boundary's contract is exactly ``bytes``; every write
+    path checks ``type(sealed) is not bytes`` inline and raises this."""
+    return TypeError(
+        "sealed buckets must be bytes at the storage boundary, "
+        f"got {type(sealed).__name__}"
+    )
+
+
 class StorageBackend:
     """Sealed-bucket store keyed by tree node id (mapping protocol).
 
     Subclasses implement :meth:`_load` and :meth:`_save`; this base
     provides the mapping protocol, the trace recording, and default
-    async twins that simply delegate to the sync path.
+    async batch ops that simply delegate to the sync batch ops.
     """
 
     name = "backend"
@@ -116,10 +125,7 @@ class StorageBackend:
 
     def __setitem__(self, node_id: int, sealed: object) -> None:
         if type(sealed) is not bytes:
-            raise TypeError(
-                "sealed buckets must be bytes at the storage boundary, "
-                f"got {type(sealed).__name__}"
-            )
+            raise _not_bytes(sealed)
         self.writes += 1
         self._record(MemoryOp.WRITE, node_id)
         self._save(node_id, sealed)
@@ -158,10 +164,7 @@ class StorageBackend:
         self.writes += len(pairs)
         for node_id, sealed in pairs:
             if type(sealed) is not bytes:
-                raise TypeError(
-                    "sealed buckets must be bytes at the storage boundary, "
-                    f"got {type(sealed).__name__}"
-                )
+                raise _not_bytes(sealed)
             record(MemoryOp.WRITE, node_id)
             save(node_id, sealed)
 
@@ -177,32 +180,14 @@ class StorageBackend:
     def __len__(self) -> int:
         return self._len()
 
-    # ------------------------------------------------------------ async twins
-
-    async def aget(self, node_id: int) -> Optional[object]:
-        return self.get(node_id)
-
-    async def aput(self, node_id: int, sealed: object) -> None:
-        self[node_id] = sealed
+    # -------------------------------------------------------- async batch ops
 
     async def aget_many(self, node_ids: List[int]) -> List[Optional[bytes]]:
-        """Batched async read. Coalesces via :meth:`get_many` — unless
-        the backend customises per-node :meth:`aget` (fault injection,
-        instrumentation), in which case the batch loops the per-node
-        twin so a batch consumes the customised path exactly as the
-        equivalent per-node sequence would.
-        """
-        if type(self).aget is not StorageBackend.aget or "aget" in self.__dict__:
-            return [await self.aget(node_id) for node_id in node_ids]
+        """Async path-segment read — the service engine's only read."""
         return self.get_many(node_ids)
 
     async def aput_many(self, pairs: List[Tuple[int, bytes]]) -> None:
-        """Batched async write; same per-node-customisation rule as
-        :meth:`aget_many`, keyed on :meth:`aput`."""
-        if type(self).aput is not StorageBackend.aput or "aput" in self.__dict__:
-            for node_id, sealed in pairs:
-                await self.aput(node_id, sealed)
-            return
+        """Async path-segment write — the service engine's only write."""
         self.put_many(pairs)
 
     # ------------------------------------------------------------- lifecycle
@@ -235,39 +220,11 @@ class InMemoryBackend(StorageBackend):
     def _len(self) -> int:
         return len(self.data)
 
-    # Coalesced batch ops: one bound dict method for the whole batch
-    # instead of a _load/_save dispatch per node.
-
-    def get_many(self, node_ids: List[int]) -> List[Optional[bytes]]:
-        self.reads += len(node_ids)
-        trace = self.trace
-        if trace is not None and trace.enabled:
-            record = trace.record
-            for node_id in node_ids:
-                record(MemoryOp.READ, node_id, 0.0)
-        data_get = self.data.get
-        return [data_get(node_id) for node_id in node_ids]
-
-    def put_many(self, pairs: List[Tuple[int, bytes]]) -> None:
-        for node_id, sealed in pairs:
-            if type(sealed) is not bytes:
-                raise TypeError(
-                    "sealed buckets must be bytes at the storage boundary, "
-                    f"got {type(sealed).__name__}"
-                )
-        self.writes += len(pairs)
-        trace = self.trace
-        if trace is not None and trace.enabled:
-            record = trace.record
-            for node_id, _sealed in pairs:
-                record(MemoryOp.WRITE, node_id, 0.0)
-        self.data.update(pairs)
-
 
 #: FileBackend record header: node_id, payload length, payload CRC32, tag.
 _RECORD = struct.Struct("<qIIB")
 _TAG_BYTES = 0  # payload is the sealed bucket's raw bytes
-_TAG_PICKLE = 1  # payload is a pickled sealed object (e.g. NullCipher tuples)
+_TAG_RETIRED = 1  # serialised sealed object: never written, rejected on replay
 
 
 class FileBackend(StorageBackend):
@@ -283,9 +240,10 @@ class FileBackend(StorageBackend):
     rewrites the live set to a temp file, fsyncs, and atomically
     renames over the log.
 
-    Sealed values that are ``bytes`` (e.g. from
-    :class:`~repro.oram.encryption.CounterModeCipher`) are stored raw;
-    anything else is pickled (the :class:`NullCipher` tuple form).
+    Sealed values are ``bytes`` and stored raw (record tag 0). An
+    intact record with the retired tag 1 (a serialised-object form only
+    older releases wrote) fails the open with :class:`BackendError`
+    naming the file and offset; the file is not modified.
     """
 
     name = "file"
@@ -297,7 +255,7 @@ class FileBackend(StorageBackend):
         if not path:
             raise ConfigError("FileBackend requires a store path")
         self.path = str(path)
-        self._index: Dict[int, object] = {}
+        self._index: Dict[int, bytes] = {}
         #: Records appended since the last compaction (live + stale).
         self.records_appended = 0
         self.recovered_records = 0
@@ -314,13 +272,9 @@ class FileBackend(StorageBackend):
     # -------------------------------------------------------------- framing
 
     @staticmethod
-    def _encode(node_id: int, sealed: object) -> bytes:
-        if isinstance(sealed, (bytes, bytearray)):
-            tag, payload = _TAG_BYTES, bytes(sealed)
-        else:
-            tag, payload = _TAG_PICKLE, pickle.dumps(sealed)
-        header = _RECORD.pack(node_id, len(payload), zlib.crc32(payload), tag)
-        return header + payload
+    def _encode(node_id: int, sealed: bytes) -> bytes:
+        header = _RECORD.pack(node_id, len(sealed), zlib.crc32(sealed), _TAG_BYTES)
+        return header + sealed
 
     def _replay(self) -> None:
         if not os.path.exists(self.path):
@@ -336,12 +290,19 @@ class FileBackend(StorageBackend):
                 self.torn_tail = True  # crash mid-append: drop the tail
                 break
             payload = raw[start:end]
-            if zlib.crc32(payload) != crc or tag not in (_TAG_BYTES, _TAG_PICKLE):
+            if zlib.crc32(payload) != crc or tag not in (_TAG_BYTES, _TAG_RETIRED):
                 self.torn_tail = True
                 break
-            self._index[node_id] = (
-                payload if tag == _TAG_BYTES else pickle.loads(payload)
-            )
+            if tag == _TAG_RETIRED:
+                # An intact retired-format record is an old store, not
+                # a torn tail: refuse before __init__ can truncate it.
+                raise BackendError(
+                    f"{self.path}: record for node {node_id} at offset "
+                    f"{offset} has tag 1, a serialised-object format that "
+                    "is retired and never decoded — an older release "
+                    "wrote this store"
+                )
+            self._index[node_id] = payload
             self.recovered_records += 1
             offset = end
         self._valid_bytes = offset
@@ -353,14 +314,21 @@ class FileBackend(StorageBackend):
     def _load(self, node_id: int) -> Optional[object]:
         return self._index.get(node_id)
 
-    def _save(self, node_id: int, sealed: object) -> None:
-        self._file.write(self._encode(node_id, sealed))
-        # Flush each append to the OS so a *process* crash loses at most
-        # the record being written; power-loss durability is bounded by
-        # the last fsync (sync()/compact()/close()).
+    def _save(self, node_id: int, sealed: bytes) -> None:
+        self._append([(node_id, sealed)])
+
+    def _append(self, pairs: List[Tuple[int, bytes]]) -> None:
+        """One framed ``write`` for the whole batch, flushed to the OS so
+        a *process* crash loses at most the record being written
+        (power-loss durability is bounded by the last fsync —
+        sync()/compact()/close()). Recovery replay cannot tell a batch
+        from the equivalent sequence of single appends, and a torn tail
+        still loses only the record it tore."""
+        encode = self._encode
+        self._file.write(b"".join([encode(n, sealed) for n, sealed in pairs]))
         self._file.flush()
-        self._index[node_id] = sealed
-        self.records_appended += 1
+        self._index.update(pairs)
+        self.records_appended += len(pairs)
 
     def _keys(self) -> Iterator[int]:
         return iter(self._index)
@@ -369,30 +337,13 @@ class FileBackend(StorageBackend):
         return len(self._index)
 
     def put_many(self, pairs: List[Tuple[int, bytes]]) -> None:
-        """Coalesced append: the whole batch becomes one multi-record
-        framed write (one ``write`` + one ``flush`` instead of one per
-        bucket). Record framing is unchanged — recovery replay cannot
-        tell a batch from the equivalent sequence of single appends,
-        and a torn tail still loses only the record it tore.
-        """
         record = self._record
-        encode = self._encode
-        index = self._index
-        self.writes += len(pairs)
-        chunks: List[bytes] = []
         for node_id, sealed in pairs:
             if type(sealed) is not bytes:
-                raise TypeError(
-                    "sealed buckets must be bytes at the storage boundary, "
-                    f"got {type(sealed).__name__}"
-                )
+                raise _not_bytes(sealed)
             record(MemoryOp.WRITE, node_id)
-            chunks.append(encode(node_id, sealed))
-        self._file.write(b"".join(chunks))
-        self._file.flush()
-        for node_id, sealed in pairs:
-            index[node_id] = sealed
-        self.records_appended += len(pairs)
+        self.writes += len(pairs)
+        self._append(pairs)
 
     # ------------------------------------------------------------- lifecycle
 
@@ -480,7 +431,7 @@ class FaultyBackend(StorageBackend):
     attempt, exactly as a real storage server would log them.
 
     Synchronous use (e.g. under ``UntrustedMemory``) injects errors
-    only; the async twins additionally express jitter and stalls as
+    only; the async batch ops additionally express jitter and stalls as
     real ``asyncio.sleep`` time, which is what trips the service's
     per-operation timeout.
     """
@@ -499,21 +450,14 @@ class FaultyBackend(StorageBackend):
         self.errors_injected = 0
         self.stalls_injected = 0
 
-    # ------------------------------------------------------------ storage ops
+    # ------------------------------------------------------------ sync side
 
-    def _load(self, node_id: int) -> Optional[object]:
-        return self.base._load(node_id)
-
-    def _save(self, node_id: int, sealed: object) -> None:
-        self.base._save(node_id, sealed)
-
-    def _keys(self) -> Iterator[int]:
-        return iter(self.base)
-
-    def _len(self) -> int:
-        return len(self.base)
-
-    # ----------------------------------------------------------- fault hooks
+    # The fault draw sits in the storage hooks, so every mapping and
+    # batch op of the base class records the node in the trace, then
+    # draws that node's fault, then touches the wrapped store — per
+    # node, in request order, as the async side below does with time.
+    # The first injected error aborts a batch (nodes before it were
+    # served; nodes after it were never attempted — or recorded).
 
     def _fault_sync(self, op: str) -> None:
         error, _stall, _delay = self.plan.draw()
@@ -521,48 +465,26 @@ class FaultyBackend(StorageBackend):
             self.errors_injected += 1
             raise TransientBackendError(f"injected transient {op} error")
 
-    def get(self, node_id: int, default: Optional[object] = None) -> Optional[object]:
-        self.reads += 1
-        self._record(MemoryOp.READ, node_id)
+    def _load(self, node_id: int) -> Optional[object]:
         self._fault_sync("read")
-        sealed = self._load(node_id)
-        return default if sealed is None else sealed
+        return self.base._load(node_id)
 
-    def __setitem__(self, node_id: int, sealed: object) -> None:
-        if type(sealed) is not bytes:
-            raise TypeError(
-                "sealed buckets must be bytes at the storage boundary, "
-                f"got {type(sealed).__name__}"
-            )
-        self.writes += 1
-        self._record(MemoryOp.WRITE, node_id)
+    def _save(self, node_id: int, sealed: object) -> None:
         self._fault_sync("write")
-        self._save(node_id, sealed)
+        self.base._save(node_id, sealed)
 
-    # Batch ops intentionally delegate to the per-node ops: every node
-    # in a batch is recorded in the trace and then draws its own fault,
-    # in request order, so a batch consumes the fault stream exactly as
-    # the equivalent per-node sequence would. The first injected error
-    # aborts the batch (nodes before it were served; nodes after it
-    # were never attempted — and never recorded).
+    def __contains__(self, node_id: int) -> bool:
+        return node_id in self.base
 
-    def get_many(self, node_ids: List[int]) -> List[Optional[bytes]]:
-        return [self.get(node_id) for node_id in node_ids]
+    def _keys(self) -> Iterator[int]:
+        return iter(self.base)
 
-    def put_many(self, pairs: List[Tuple[int, bytes]]) -> None:
-        for node_id, sealed in pairs:
-            self[node_id] = sealed
+    def _len(self) -> int:
+        return len(self.base)
 
-    async def aget_many(self, node_ids: List[int]) -> List[Optional[bytes]]:
-        return [await self.aget(node_id) for node_id in node_ids]
-
-    async def aput_many(self, pairs: List[Tuple[int, bytes]]) -> None:
-        for node_id, sealed in pairs:
-            await self.aput(node_id, sealed)
+    # ----------------------------------------------------------- async side
 
     async def _fault_async(self, op: str) -> None:
-        import asyncio
-
         error, stall, delay = self.plan.draw()
         if delay > 0:
             await asyncio.sleep(delay / 1e9)
@@ -573,22 +495,23 @@ class FaultyBackend(StorageBackend):
             self.stalls_injected += 1
             await asyncio.sleep(self.plan.stall_ns / 1e9)
 
-    async def aget(self, node_id: int) -> Optional[object]:
-        self.reads += 1
-        self._record(MemoryOp.READ, node_id)
-        await self._fault_async("read")
-        return self._load(node_id)
+    async def aget_many(self, node_ids: List[int]) -> List[Optional[bytes]]:
+        out: List[Optional[bytes]] = []
+        for node_id in node_ids:
+            self.reads += 1
+            self._record(MemoryOp.READ, node_id)
+            await self._fault_async("read")
+            out.append(self.base._load(node_id))
+        return out
 
-    async def aput(self, node_id: int, sealed: object) -> None:
-        if type(sealed) is not bytes:
-            raise TypeError(
-                "sealed buckets must be bytes at the storage boundary, "
-                f"got {type(sealed).__name__}"
-            )
-        self.writes += 1
-        self._record(MemoryOp.WRITE, node_id)
-        await self._fault_async("write")
-        self._save(node_id, sealed)
+    async def aput_many(self, pairs: List[Tuple[int, bytes]]) -> None:
+        for node_id, sealed in pairs:
+            if type(sealed) is not bytes:
+                raise _not_bytes(sealed)
+            self.writes += 1
+            self._record(MemoryOp.WRITE, node_id)
+            await self._fault_async("write")
+            self.base._save(node_id, sealed)
 
     # ------------------------------------------------------------- lifecycle
 

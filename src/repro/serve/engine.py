@@ -43,7 +43,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from collections import deque
 
@@ -175,13 +175,17 @@ class ServeRequest:
 
 
 class AsyncBucketStore:
-    """Sealed-bucket reads/writes over an async backend, with retries.
+    """Sealed path-segment reads/writes over an async backend, with retries.
 
-    The cipher boundary lives here (the trusted side): plaintext blocks
-    in, sealed buckets out. Every backend operation is guarded by the
-    per-op timeout and retried per :class:`RetryPolicy`; a write retried
-    after an ambiguous failure simply overwrites the same bucket with
-    the same sealed value, so duplication is harmless.
+    The path segment is the one unit of storage I/O: one read step
+    (:meth:`read_many_blocks`) and one write-back step
+    (:meth:`write_many_blocks`), shared by the data tree's fork segment
+    and every position-map level's full path. The cipher boundary lives
+    here (the trusted side): plaintext blocks in, sealed buckets out.
+    Every backend batch is guarded by the per-op timeout and retried per
+    :class:`RetryPolicy` with the whole batch as the retry unit; writes
+    are absolute, so a batch retried after an ambiguous failure simply
+    overwrites the same buckets with the same sealed values.
     """
 
     def __init__(
@@ -205,28 +209,27 @@ class AsyncBucketStore:
         self.retries = 0
         self.failures = 0
 
-    async def read_blocks(self, node_id: int) -> List[Block]:
-        sealed = await self._attempt("read", node_id, lambda: self.backend.aget(node_id))
-        if sealed is None:
-            return []
-        return self.cipher.open_blocks(sealed, self.bucket_slots)
+    async def read_many_blocks(self, node_ids: List[int], stash: Stash) -> None:
+        """The read step: fetch a path segment into ``stash``.
 
-    async def write_blocks(self, node_id: int, blocks: List[Block]) -> None:
-        sealed = self.cipher.seal_blocks(blocks, self.bucket_slots)
-        if type(sealed) is not bytes:
-            raise TypeError(
-                f"cipher {type(self.cipher).__name__} sealed to "
-                f"{type(sealed).__name__}; the storage contract is bytes"
+        A tree node can hold a copy of a stash-resident block only after
+        an ambiguous write failure (the write landed but reported
+        failure, so the blocks were re-inserted into the stash) — the
+        stash copy is the fresh one, so such tree copies are skipped.
+        """
+        open_blocks = self.cipher.open_blocks
+        z = self.bucket_slots
+        for sealed in await self.read_many_sealed(node_ids):
+            if sealed is None:
+                continue
+            stash.add_all(
+                block
+                for block in open_blocks(sealed, z)
+                if block.addr not in stash
             )
-        await self._attempt("write", node_id, lambda: self.backend.aput(node_id, sealed))
-
-    async def write_sealed(self, node_id: int, sealed: object) -> None:
-        """Write an already-sealed bucket (the replication path seals
-        before WAL logging, so the logged and stored bytes coincide)."""
-        await self._attempt("write", node_id, lambda: self.backend.aput(node_id, sealed))
 
     async def read_many_sealed(self, node_ids: List[int]) -> List[Optional[bytes]]:
-        """Batched path read: one backend round trip for the segment.
+        """One backend round trip for the segment's sealed buckets.
 
         The whole batch is the retry unit — a transient failure or
         timeout replays every node of the batch (harmless: reads are
@@ -242,51 +245,56 @@ class AsyncBucketStore:
         )
 
     async def write_many_blocks(
-        self, pairs: List[Tuple[int, List[Block]]]
-    ) -> None:
-        """Seal and write a whole refill segment in one backend call.
+        self,
+        stash: Stash,
+        leaf: int,
+        path: Sequence[int],
+        floor: int,
+        replicator: Optional[Replicator],
+    ) -> int:
+        """The write-back step: refill ``path`` (node ids, root first)
+        from ``stash``, leaf level down to level ``floor``; returns the
+        number of buckets written.
 
-        Sealing happens up front (trusted side), then the batch is one
-        ``aput_many`` with the batch as the retry unit. An ambiguous
-        mid-batch failure may leave a prefix of the buckets written;
-        the caller re-inserts every staged block into the stash, which
-        is the same ambiguity contract as the per-node path (stale tree
-        copies are superseded by stash copies on read).
+        The whole write set is sealed up front (trusted side) and, with
+        a replicator, appended to the WAL before any bucket reaches the
+        backend: after a crash the log is therefore a superset of the
+        store, and it holds exactly the public trace (the scheduled
+        leaf + the sealed bytes the server stores). An ambiguous
+        mid-batch failure may leave a prefix of the buckets written, so
+        on a final failure every staged block goes back into the stash
+        (stale tree copies are superseded by stash copies on read; an
+        already-logged record is harmless — recovery treats the
+        checkpointed stash as authoritative, exactly as live reads do).
         """
-        if not pairs:
-            return
-        sealed_pairs: List[Tuple[int, bytes]] = []
-        cipher = self.cipher
         z = self.bucket_slots
-        for node_id, blocks in pairs:
-            sealed = cipher.seal_blocks(blocks, z)
+        staged = [
+            (path[level], stash.collect_for_node(leaf, level, z))
+            for level in range(len(path) - 1, floor - 1, -1)
+        ]
+        seal_blocks = self.cipher.seal_blocks
+        sealed_pairs: List[Tuple[int, bytes]] = []
+        for node_id, blocks in staged:
+            sealed = seal_blocks(blocks, z)
             if type(sealed) is not bytes:
                 raise TypeError(
-                    f"cipher {type(cipher).__name__} sealed to "
+                    f"cipher {type(self.cipher).__name__} sealed to "
                     f"{type(sealed).__name__}; the storage contract is bytes"
                 )
             sealed_pairs.append((node_id, sealed))
-        await self._attempt(
-            "write-batch",
-            pairs[0][0],
-            lambda: self.backend.aput_many(sealed_pairs),
-        )
+        if replicator is not None:
+            replicator.log_access(leaf, sealed_pairs)
+        try:
+            await self.write_many_sealed(sealed_pairs)
+        except BackendError:
+            for _node_id, blocks in staged:
+                stash.add_all(blocks)
+            raise
+        return len(staged)
 
     async def write_many_sealed(self, pairs: List[Tuple[int, bytes]]) -> None:
-        """Batched twin of :meth:`write_sealed` (replication path).
-
-        If :meth:`write_sealed` itself has been customised (subclassed
-        or instance-patched — crash-injection tests do this), the batch
-        loops it per node so the customised path observes every write.
-        """
+        """One backend round trip writing the segment's sealed buckets."""
         if not pairs:
-            return
-        if (
-            type(self).write_sealed is not AsyncBucketStore.write_sealed
-            or "write_sealed" in self.__dict__
-        ):
-            for node_id, sealed in pairs:
-                await self.write_sealed(node_id, sealed)
             return
         await self._attempt(
             "write-batch",
@@ -395,11 +403,6 @@ class ObliviousEngine:
         #: Durability/replication coordinator (None = no WAL, no
         #: checkpoints — the pre-replication behaviour, bit for bit).
         self._replicator = replicator
-        #: Batched data plane: path segments travel as one
-        #: ``aget_many``/``aput_many`` backend call per phase instead of
-        #: one call per bucket. Kept as a toggle so differential tests
-        #: can run the per-node reference loop against the same backend.
-        self.batched = True
         #: Address -> the request whose tree access is in flight.
         self._inflight: Dict[int, ServeRequest] = {}
         #: Address -> later same-address requests awaiting that access.
@@ -563,30 +566,7 @@ class ObliviousEngine:
         served = False
         try:
             read_nodes = self.fork.read_set(leaf)
-            stash = self.stash
-            # A tree node can hold a copy of a stash-resident block
-            # only after an ambiguous write failure (the write landed
-            # but reported failure, so the blocks were re-inserted
-            # into the stash) — the stash copy is the fresh one.
-            if self.batched:
-                sealed_buckets = await self.store.read_many_sealed(read_nodes)
-                open_blocks = self.store.cipher.open_blocks
-                z = self.bucket_slots
-                for sealed in sealed_buckets:
-                    if sealed is None:
-                        continue
-                    stash.add_all(
-                        block
-                        for block in open_blocks(sealed, z)
-                        if block.addr not in stash
-                    )
-            else:
-                for node in read_nodes:
-                    stash.add_all(
-                        block
-                        for block in await self.store.read_blocks(node)
-                        if block.addr not in stash
-                    )
+            await self.store.read_many_blocks(read_nodes, self.stash)
             if entry.is_real:
                 self._serve_real(entry)
                 served = True
@@ -595,81 +575,18 @@ class ObliviousEngine:
                 self.admit_hook()
             next_entry = self._select(leaf, self.clock())
             retain = self.fork.retain_depth(leaf, next_entry.leaf)
-            path = self.geometry.path_tuple(leaf)
-            z = self.bucket_slots
-            written = 0
             replicator = self._replicator
-            if replicator is None and self.batched:
-                # Batched refill: collect the whole segment, then one
-                # aput_many. The batch is the retry unit; on a final
-                # failure every staged block is re-inserted (an
-                # ambiguous prefix may have landed — stale tree copies
-                # are superseded by stash copies on read, the same
-                # contract as an ambiguous per-node write failure).
-                staged_pairs: List[Tuple[int, List[Block]]] = [
-                    (path[level], self.stash.collect_for_node(leaf, level, z))
-                    for level in range(self.geometry.levels, retain - 1, -1)
-                ]
-                try:
-                    await self.store.write_many_blocks(staged_pairs)
-                except BackendError:
-                    for _node, blocks in staged_pairs:
-                        self.stash.add_all(blocks)
-                    raise
-                written = len(staged_pairs)
-            elif replicator is None:
-                for level in range(self.geometry.levels, retain - 1, -1):
-                    blocks = self.stash.collect_for_node(leaf, level, z)
-                    try:
-                        await self.store.write_blocks(path[level], blocks)
-                    except BackendError:
-                        # The collected blocks are not in the tree; put
-                        # them back so no address's data is silently
-                        # lost.
-                        self.stash.add_all(blocks)
-                        raise
-                    written += 1
-            else:
-                # Pre-seal the whole write set and append it to the WAL
-                # before any bucket reaches the backend: after a crash
-                # the log is therefore a superset of the store, and
-                # replaying it reconstructs the backend at any access
-                # boundary. The WAL holds exactly the public trace (the
-                # scheduled leaf + the sealed bytes the server stores).
-                staged: List[tuple] = []
-                cipher = self.store.cipher
-                for level in range(self.geometry.levels, retain - 1, -1):
-                    blocks = self.stash.collect_for_node(leaf, level, z)
-                    staged.append(
-                        (path[level], blocks, cipher.seal_blocks(blocks, z))
-                    )
-                replicator.log_access(
-                    leaf, [(node, sealed) for node, _b, sealed in staged]
-                )
-                try:
-                    if self.batched:
-                        await self.store.write_many_sealed(
-                            [(node, sealed) for node, _b, sealed in staged]
-                        )
-                        written = len(staged)
-                    else:
-                        for node, _blocks, sealed in staged:
-                            await self.store.write_sealed(node, sealed)
-                            written += 1
-                except BackendError:
-                    # Unwritten levels' blocks are not in the tree; put
-                    # them back so no address's data is silently lost.
-                    # (The WAL already logged them — harmless: recovery
-                    # treats the checkpointed stash as authoritative
-                    # over stale tree copies, exactly as live reads do.)
-                    # A failed batch may have landed an ambiguous
-                    # prefix, so with batching every staged level is
-                    # re-inserted (written stayed 0 until batch success).
-                    for _node, blocks, _sealed in staged[written:]:
-                        self.stash.add_all(blocks)
-                    raise
+            written = await self.store.write_many_blocks(
+                self.stash,
+                leaf,
+                self.geometry.path_tuple(leaf),
+                retain,
+                replicator,
+            )
             self.fork.commit_write(leaf, retain)
-            self.stash.check_persistent_occupancy(slack=z * retain)
+            self.stash.check_persistent_occupancy(
+                slack=self.bucket_slots * retain
+            )
             self._next_entry = next_entry
             self.accesses += 1
             self.records.append((leaf, entry.is_dummy, len(read_nodes), written))
@@ -679,8 +596,8 @@ class ObliviousEngine:
         except BackendError as exc:
             # The backend gave up past the retry budget. Drop the
             # resident prefix so the next access re-reads a full path;
-            # blocks collected for the failed write were re-inserted
-            # above, so the stash again holds everything unwritten.
+            # blocks collected for a failed write were re-inserted by
+            # the store, so the stash again holds everything unwritten.
             self.failed_accesses += 1
             self.fork.reset()
             if entry.target_addr is not None and not served:

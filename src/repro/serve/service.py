@@ -589,7 +589,7 @@ class OramService(ServiceFrontEnd):
         """Pacer-driven turn loop (``pace.mode != "off"``).
 
         One (real-or-dummy) tree access per pace slot, forever: the
-        pacer's deadline chain — not request arrival — decides when the
+        pacer's deadline grid — not request arrival — decides when the
         engine touches the backend, and a slot with no client work
         queued runs as a pure-dummy access of identical shape. The
         engine is credited every pacer sleep so queued requests carve

@@ -1,9 +1,7 @@
 """The ``Simulation`` façade: one front door to every kind of run.
 
-Historically each entry point wired the simulator differently — the CLI
-built a :class:`~repro.core.controller.ForkPathController` by hand, the
-experiments called :func:`repro.memsys.system.simulate_system`, and the
-benchmarks duplicated both. :class:`Simulation` unifies them::
+Every kind of run — CLI, experiments, benchmarks — goes through
+:class:`Simulation`::
 
     from repro import Simulation, SystemConfig
 
@@ -21,10 +19,6 @@ runner) reports through it::
     tracer = Tracer(sinks=[JsonlSink("run.jsonl")])
     result = Simulation(config).run(trace, tracer=tracer)
     print(result.trace.render_summary())
-
-Legacy entry points (:func:`repro.memsys.system.simulate_system`,
-hand-built controllers) remain as thin deprecated wrappers around this
-class; new code should not use them.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
 
 import pytest
@@ -18,6 +20,19 @@ from repro.config import (
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xF0124)
+
+
+@pytest.fixture
+def hostile_pickle(tmp_path):
+    """``(payload, flag)``: unpickling ``payload`` creates the directory
+    ``flag`` — a stand-in for the arbitrary code a hostile pickle runs."""
+    flag = tmp_path / "unpickled"
+
+    class Hostile:
+        def __reduce__(self):
+            return (os.mkdir, (str(flag),))
+
+    return pickle.dumps(Hostile()), flag
 
 
 @pytest.fixture

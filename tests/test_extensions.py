@@ -1,4 +1,4 @@
-"""Extensions: PosMap Lookaside Buffer and background eviction."""
+"""Extensions: PosMap Lookaside Buffer and replacement scope."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.config import (
     CacheConfig,
-    OramConfig,
     RecursionConfig,
     SchedulerConfig,
     SystemConfig,
@@ -16,9 +15,7 @@ from repro.config import (
 )
 from repro.core.controller import ForkPathController
 from repro.errors import ConfigError
-from repro.extensions.background_eviction import BackgroundEvictingOram
 from repro.extensions.plb import PosMapLookasideBuffer
-from repro.oram.path_oram import PathOram
 from repro.workloads.synthetic import hotspot_trace
 from repro.workloads.trace import TraceSource
 
@@ -117,66 +114,6 @@ class TestPlbInController:
         )
         controller = ForkPathController(config, TraceSource([]))
         assert controller.plb is None
-
-
-class TestBackgroundEviction:
-    def make_oram(self, utilization: float = 1.0) -> PathOram:
-        """A fully-utilised tree: the regime background eviction exists
-        for (the paper sidesteps it with 50% utilisation)."""
-        config = OramConfig(
-            levels=6,
-            bucket_slots=4,
-            block_bytes=16,
-            stash_capacity=500,
-            utilization=utilization,
-        )
-        return PathOram(config, rng=random.Random(3))
-
-    def test_watermark_triggers_and_bounds_stash(self):
-        oram = self.make_oram()
-        evictor = BackgroundEvictingOram(oram, high_watermark=20)
-        rng = random.Random(7)
-        for step in range(2500):
-            evictor.write(rng.randrange(oram.config.num_blocks), step)
-        assert evictor.stats.triggered > 0
-        assert evictor.stats.eviction_accesses > 0
-
-    def test_high_utilisation_pressure_is_reduced(self):
-        """Control arm: same workload, no background eviction."""
-        plain = self.make_oram()
-        evicted = self.make_oram()
-        evictor = BackgroundEvictingOram(evicted, high_watermark=20)
-        rng_a, rng_b = random.Random(7), random.Random(7)
-        for step in range(2500):
-            plain.write(rng_a.randrange(plain.config.num_blocks), step)
-            evictor.write(rng_b.randrange(evicted.config.num_blocks), step)
-        assert max(evicted.stash.occupancy_samples) <= max(
-            plain.stash.occupancy_samples
-        )
-
-    def test_values_preserved(self):
-        oram = self.make_oram()
-        evictor = BackgroundEvictingOram(oram, high_watermark=40)
-        rng = random.Random(11)
-        shadow: dict[int, int] = {}
-        for step in range(600):
-            addr = rng.randrange(oram.config.num_blocks)
-            if rng.random() < 0.5:
-                shadow[addr] = step
-                evictor.write(addr, step)
-            else:
-                assert evictor.read(addr) == shadow.get(addr)
-
-    def test_invalid_parameters(self):
-        oram = self.make_oram()
-        with pytest.raises(ConfigError):
-            BackgroundEvictingOram(oram, high_watermark=0)
-        with pytest.raises(ConfigError):
-            BackgroundEvictingOram(oram, high_watermark=10_000)
-        with pytest.raises(ConfigError):
-            BackgroundEvictingOram(
-                oram, high_watermark=10, max_evictions_per_trigger=0
-            )
 
 
 class TestReplacementScope:

@@ -1,29 +1,42 @@
-"""Differential equivalence: flat/batched data plane vs reference loops.
+"""Golden equivalence: the one data plane vs the deleted reference loops.
 
-The flat byte-buffer data plane ships three independent fast paths, each
-with a reference toggle kept alive for exactly this suite:
+The per-node reference loops (``ForkPathController.batched = False``,
+``ObliviousEngine.batched = False``) were deleted once the path-segment
+data plane had matched them on every seed. Their oracle value lives on
+here as SHA-256 digests captured **at the last commit that still had
+them** (74ad3a0), by running the scenarios below through the reference
+paths: per-node ``read_blocks``/``write_blocks``/``write_sealed`` on the
+engine, per-node memory/DRAM calls, the rescan stash and the generic
+cipher boundary on the controller. The surviving path must reproduce
+every digest — the adversary-visible bus trace, the per-access records,
+the final store image (which pins the cipher-counter sequence: every
+sealed bucket starts with its counter), the WAL, and the results.
 
-* ``ForkPathController.batched`` — one ``read_many``/``write_many`` +
-  chained DRAM walk per path segment vs the legacy per-node loop;
+Two reference toggles survive and are still exercised in all four
+combinations against the controller goldens:
+
 * ``Stash.indexed`` — snapshot/heap eviction vs the rescan oracle;
 * ``UntrustedMemory._packed`` — in-slab pack/unpack vs the generic
   ``seal_blocks``/``open_blocks`` cipher boundary.
 
-All eight combinations must produce the *identical* public behaviour on
-the same seeds: the adversary-visible trace (op, node, timestamp), the
-values returned to the workload, the metrics summary, and the stash
-occupancy trajectory. The serve engine's ``batched`` toggle gets the
-same treatment against its per-node loop.
+Scenarios the per-node loops could not run bit-identically (a recursive
+position map never had a per-node path; under injected faults the
+per-node loop retried one bucket where the batch retries the segment)
+were captured from the parent's batched path instead — they pin "the
+refactor moved nothing", not "matches the reference".
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import random
 
 from repro import fork_path_scheduler, traditional_scheduler
 from repro.config import (
     CacheConfig,
+    PosmapConfig,
+    ReplicaConfig,
     SchedulerConfig,
     ServiceConfig,
     SystemConfig,
@@ -31,15 +44,29 @@ from repro.config import (
 )
 from repro.core.controller import ForkPathController
 from repro.experiments.common import SMALL, base_config
-from repro.serve.backends import InMemoryBackend
+from repro.oram.encryption import CounterModeCipher
+from repro.oram.memory import TraceRecorder
+from repro.replica.replicator import Replicator
+from repro.serve.backends import FaultPlan, FaultyBackend, InMemoryBackend
 from repro.serve.engine import ObliviousEngine, ServeRequest
 from repro.workloads.synthetic import uniform_trace
 from repro.workloads.trace import TraceSource
 
 
-def _run(scheduler, *, batched: bool, indexed: bool, packed: bool,
-         requests: int = 300):
-    """One short saturating run; returns everything observable."""
+def _digest(value: object) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _bus(trace: TraceRecorder) -> list:
+    return [(event.op.value, event.node_id, event.time_ns) for event in trace.events]
+
+
+# ------------------------------------------------------------ controller
+
+
+def _run_controller(scheduler, *, indexed: bool, packed: bool,
+                    requests: int = 300):
+    """One short saturating run; digests of everything observable."""
     config = base_config(SMALL, scheduler=scheduler)
     trace = uniform_trace(
         requests, 2048, 50.0, random.Random(11), write_fraction=0.3
@@ -47,68 +74,97 @@ def _run(scheduler, *, batched: bool, indexed: bool, packed: bool,
     controller = ForkPathController(
         config, TraceSource(trace), rng=random.Random(12)
     )
-    controller.batched = batched
     controller.stash.indexed = indexed
     if not packed:
         controller.memory._packed = False
     metrics = controller.run()
     return {
-        "values": [request.value for request in trace],
-        "trace": controller.memory.trace.events,
-        "summary": metrics.summary(),
-        "occupancy": list(controller.stash.occupancy_samples),
+        "values": _digest([request.value for request in trace]),
+        "trace": _digest(_bus(controller.memory.trace)),
+        "summary": _digest(sorted(metrics.summary().items())),
+        "occupancy": _digest(list(controller.stash.occupancy_samples)),
     }
+
+
+#: Captured at 74ad3a0 with batched=False, indexed=False, packed=False.
+CONTROLLER_FORK_GOLDEN = {
+    "values": (
+        "4ec4010ac402d025bc154c0cce9d0942"
+        "55c49316b427cf0718f0c6e8930ad2f3"
+    ),
+    "trace": (
+        "d9b2d39477e0baeadb40275904e58931"
+        "e0fa442834126f90b1ecb814e761c42f"
+    ),
+    "summary": (
+        "e9a0375b8a1b162be1af09f80e81a4f9"
+        "03cd861ce4d6b139b5cccd84e76d3fa0"
+    ),
+    "occupancy": (
+        "cf27208e8619b024956b60e191c9bac3"
+        "7ec465075f69f4b3c1ce2949745481d0"
+    ),
+}
+CONTROLLER_TRADITIONAL_GOLDEN = {
+    "values": (
+        "4ec4010ac402d025bc154c0cce9d0942"
+        "55c49316b427cf0718f0c6e8930ad2f3"
+    ),
+    "trace": (
+        "63d1f71aed33e0aad63e9135c06ed945"
+        "807b56205ff8a14ab22c1704d645f7de"
+    ),
+    "summary": (
+        "bae48fbd36e7124ddd53326b6d8d20d6"
+        "27afbfa05abbbf77b404489772bb93af"
+    ),
+    "occupancy": (
+        "bec1c6e04b7a65cf0aabf8f316c15971"
+        "135ebf2f422007bf7d4923c9ab6420cb"
+    ),
+}
 
 
 class TestControllerEquivalence:
     def test_all_fast_paths_match_reference_fork(self):
-        reference = _run(
-            fork_path_scheduler(16), batched=False, indexed=False, packed=False
-        )
-        for batched in (False, True):
-            for indexed in (False, True):
-                for packed in (False, True):
-                    if not (batched or indexed or packed):
-                        continue
-                    candidate = _run(
-                        fork_path_scheduler(16),
-                        batched=batched,
-                        indexed=indexed,
-                        packed=packed,
-                    )
-                    label = f"batched={batched} indexed={indexed} packed={packed}"
-                    assert candidate["values"] == reference["values"], label
-                    assert candidate["trace"] == reference["trace"], label
-                    assert candidate["summary"] == reference["summary"], label
-                    assert candidate["occupancy"] == reference["occupancy"], label
+        for indexed in (False, True):
+            for packed in (False, True):
+                assert _run_controller(
+                    fork_path_scheduler(16), indexed=indexed, packed=packed
+                ) == CONTROLLER_FORK_GOLDEN, f"indexed={indexed} packed={packed}"
 
     def test_fast_paths_match_reference_traditional(self):
-        """Merging off (retain = 0): the batched write covers the whole
+        """Merging off (retain = 0): the segment write covers the whole
         path — the deepest-possible batch — and must still match."""
-        reference = _run(
-            traditional_scheduler(), batched=False, indexed=False, packed=False
-        )
-        candidate = _run(
-            traditional_scheduler(), batched=True, indexed=True, packed=True
-        )
-        assert candidate["values"] == reference["values"]
-        assert candidate["trace"] == reference["trace"]
-        assert candidate["summary"] == reference["summary"]
-        assert candidate["occupancy"] == reference["occupancy"]
+        assert _run_controller(
+            traditional_scheduler(), indexed=True, packed=True
+        ) == CONTROLLER_TRADITIONAL_GOLDEN
 
 
-def _serve_config(levels: int = 6) -> SystemConfig:
+# ---------------------------------------------------------------- engine
+
+
+def _serve_config(levels: int = 6, **sections: object) -> SystemConfig:
+    sections.setdefault("service", ServiceConfig())
     return SystemConfig(
         oram=small_test_config(levels, block_bytes=64),
         scheduler=SchedulerConfig(label_queue_size=8),
         cache=CacheConfig(policy="none"),
-        service=ServiceConfig(),
+        **sections,  # type: ignore[arg-type]
     )
 
 
-def _drive_engine(batched: bool):
-    engine = ObliviousEngine(_serve_config(), InMemoryBackend())
-    engine.batched = batched
+def _replica_config(tmp_path) -> ReplicaConfig:
+    return ReplicaConfig(
+        enabled=True,
+        dir=str(tmp_path / "replica"),
+        checkpoint_every_accesses=16,
+    )
+
+
+def _drive_engine(engine: ObliviousEngine, *, binary: bool = False):
+    """Sixty seeded puts/gets, each drained before the next; digests of
+    the bus trace, access records, store image, WAL and results."""
     results = []
 
     async def scenario():
@@ -116,7 +172,8 @@ def _drive_engine(batched: bool):
         for index in range(60):
             addr = rng.randrange(24)
             if rng.random() < 0.5:
-                request = ServeRequest(op="put", addr=addr, value=f"v{index}")
+                value = f"v{index}".encode() if binary else f"v{index}"
+                request = ServeRequest(op="put", addr=addr, value=value)
             else:
                 request = ServeRequest(op="get", addr=addr)
             assert engine.submit(request)
@@ -124,24 +181,181 @@ def _drive_engine(batched: bool):
                 if not engine.has_pending_real():
                     break
                 await engine.run_access()
+            result = request.result
+            if isinstance(result, (bytes, bytearray)):
+                result = bytes(result).rstrip(b"\x00")
             results.append((request.op, request.addr, request.found,
-                            request.result, request.status))
+                            result, request.status))
 
     asyncio.run(scenario())
-    return engine, results
+    backend = engine.store.backend
+    image = getattr(backend, "base", backend).data
+    observed = {
+        "trace": _digest(_bus(backend.trace)),
+        "records": _digest(
+            (list(engine.records),
+             list(getattr(engine.posmap, "chain_records", ())))
+        ),
+        "image": _digest(sorted(image.items())),
+        "results": _digest(results),
+        "counters": _digest(
+            (engine.accesses, engine.real_accesses, engine.failed_accesses,
+             engine.store.retries, engine.store.cipher.state())
+        ),
+    }
+    if engine.replicator is not None:
+        observed["wal"] = _digest(
+            [(r.seq, r.leaf, r.writes)
+             for r in engine.replicator.wal.read_from(1)]
+        )
+    engine.close()
+    return observed
+
+
+#: Captured at 74ad3a0 through the per-node reference loops
+#: (``engine.batched = False``).
+ENGINE_FLAT_GOLDEN = {
+    "trace": (
+        "9ff9ff13092dd97cac2a1a606a5ba97a"
+        "2f2120f6585b33c8102403b1cdee792c"
+    ),
+    "records": (
+        "867774c83acba6fd172446cb08aab3c7"
+        "34b3f49cbe1a2f6863117feabfe64a72"
+    ),
+    "image": (
+        "4ba19fffce15e115c7863ca90b411783"
+        "f6063bef3ac87ec27b0786c68ee121a0"
+    ),
+    "results": (
+        "a050d99fc4cbb2afcaa5b8db4ca898a4"
+        "c9cdaa4d4c85044935d3ae3f9b26292c"
+    ),
+    "counters": (
+        "8eba85dd87db5322dbb162b96c9256c2"
+        "fecb48162dfbfe4fb7031d292a1879a6"
+    ),
+}
+ENGINE_REPLICATED_GOLDEN = {
+    "trace": (
+        "9ff9ff13092dd97cac2a1a606a5ba97a"
+        "2f2120f6585b33c8102403b1cdee792c"
+    ),
+    "records": (
+        "867774c83acba6fd172446cb08aab3c7"
+        "34b3f49cbe1a2f6863117feabfe64a72"
+    ),
+    "image": (
+        "dc304714795ab9d60794b52b0e632501"
+        "191ffe700c768bc63c0c7db161f3e4f9"
+    ),
+    "results": (
+        "074f299cd025f3d333b4688fc4d711e6"
+        "4e720cb88b610e4eb2745be4716a4580"
+    ),
+    "counters": (
+        "8eba85dd87db5322dbb162b96c9256c2"
+        "fecb48162dfbfe4fb7031d292a1879a6"
+    ),
+    "wal": (
+        "cf0fdd9ef7c89800e810c11601a78118"
+        "c94c4fb8e671ca8a0791b30a0ab6266d"
+    ),
+}
+#: Captured at 74ad3a0 from the batched path (see module docstring).
+ENGINE_RECURSIVE_REPLICATED_GOLDEN = {
+    "trace": (
+        "4502c4bf824eb08d22cca5003891bef4"
+        "bf66796f2e35f0531963f9fa55af030f"
+    ),
+    "records": (
+        "e69ebb74a7ec53b51615e904f141ca32"
+        "b53229c051ff9b02c49cdd007a4c2a24"
+    ),
+    "image": (
+        "e4004e1672ab11719926ffd0d899e612"
+        "deb62f38331d1b4763b68197663769b0"
+    ),
+    "results": (
+        "9d79cc79fca5339ad4e96ae4dc58c698"
+        "721082d0cf3fb2a26951eace8748bd21"
+    ),
+    "counters": (
+        "48b31633948b9b9d3e8ff7117b6b46d0"
+        "2137d4d351aef2b5f600f9ce35005ebd"
+    ),
+    "wal": (
+        "78b3a9ad6c833606bf7b994567142853"
+        "ee47bb5d73754c971f4abff6a7cf020e"
+    ),
+}
+ENGINE_FAULTY_GOLDEN = {
+    "trace": (
+        "6dea78b984de7a0b2d9f3c025664ad92"
+        "910d3a44d78691bb8e76e483813f3b7f"
+    ),
+    "records": (
+        "a1c1afebe7d7bb7096b376783d77fe6e"
+        "a3be0682427d284cf0de56ff9a49e9e0"
+    ),
+    "image": (
+        "240273d188579ffe98c0170e4e021837"
+        "843c928439a81b79b9516216d9f0ddb7"
+    ),
+    "results": (
+        "1682678f47b2a616ac3313e834ed4a4e"
+        "2339e743204cd6b6b82baed978fe0c32"
+    ),
+    "counters": (
+        "72c497551dfc3a327690bc7645194ac9"
+        "d036de27e9ad49ae53796bb829917a29"
+    ),
+}
 
 
 class TestServeEngineEquivalence:
     def test_batched_engine_matches_per_node_reference(self):
-        batched_engine, batched_results = _drive_engine(batched=True)
-        reference_engine, reference_results = _drive_engine(batched=False)
-        assert batched_results == reference_results
-        # Access log: (leaf, was_dummy, read_nodes, written) per access.
-        assert list(batched_engine.records) == list(reference_engine.records)
-        # The stored sealed buckets coincide node for node.
-        assert (
-            batched_engine.store.backend.data
-            == reference_engine.store.backend.data
+        engine = ObliviousEngine(
+            _serve_config(), InMemoryBackend(TraceRecorder())
         )
-        assert batched_engine.accesses == reference_engine.accesses
-        assert batched_engine.real_accesses == reference_engine.real_accesses
+        assert _drive_engine(engine) == ENGINE_FLAT_GOLDEN
+
+    def test_replicated_engine_matches_per_node_reference(self, tmp_path):
+        """Real cipher + WAL: the seal order (cipher-counter sequence),
+        the logged bytes and the stored bytes all match the per-node
+        ``write_sealed`` loop."""
+        config = _serve_config(replica=_replica_config(tmp_path))
+        engine = ObliviousEngine(
+            config,
+            InMemoryBackend(TraceRecorder()),
+            cipher=CounterModeCipher(b"golden-key", 64),
+            replicator=Replicator(config.replica),
+        )
+        assert _drive_engine(engine, binary=True) == ENGINE_REPLICATED_GOLDEN
+
+    def test_recursive_replicated_engine_is_unmoved(self, tmp_path):
+        config = _serve_config(
+            posmap=PosmapConfig(mode="recursive", client_budget_bytes=64),
+            replica=_replica_config(tmp_path),
+        )
+        engine = ObliviousEngine(
+            config,
+            InMemoryBackend(TraceRecorder()),
+            replicator=Replicator(config.replica),
+        )
+        assert engine.posmap.requires_chain
+        assert _drive_engine(engine) == ENGINE_RECURSIVE_REPLICATED_GOLDEN
+
+    def test_faulty_backend_engine_is_unmoved(self):
+        """Per-node fault draws inside each batch, retries and failed
+        accesses included: same fault stream, same trace."""
+        config = _serve_config(
+            service=ServiceConfig(retry_attempts=3, retry_base_ns=1000.0)
+        )
+        backend = FaultyBackend(
+            InMemoryBackend(), FaultPlan(error_rate=0.05, seed=9)
+        )
+        engine = ObliviousEngine(config, backend)
+        observed = _drive_engine(engine)
+        assert backend.errors_injected > 0
+        assert observed == ENGINE_FAULTY_GOLDEN

@@ -10,9 +10,9 @@ from repro.config import CacheConfig, OramConfig, ProcessorConfig, SystemConfig
 from repro.errors import ConfigError
 from repro.memsys.cache import CacheHierarchy, SetAssociativeCache
 from repro.memsys.processor import Core, CoreCluster, build_cluster
-from repro.memsys.system import InsecureMemorySystem, simulate_system
+from repro.memsys.system import FullSystemResult, InsecureMemorySystem
 from repro.workloads.spec import spec_benchmark
-from repro import fork_path_scheduler, traditional_scheduler
+from repro import Simulation, fork_path_scheduler, traditional_scheduler
 
 
 class TestSetAssociativeCache:
@@ -241,6 +241,12 @@ class TestInsecureMemory:
         assert memory.service_time(100.0) == pytest.approx(145.0)
 
 
+def run_full_system(config, benchmarks, **kwargs) -> FullSystemResult:
+    result = Simulation(config).run_system(benchmarks, **kwargs)
+    assert result.full_system is not None
+    return result.full_system
+
+
 class TestSimulateSystem:
     def make_config(self, scheduler) -> SystemConfig:
         return SystemConfig(
@@ -251,7 +257,7 @@ class TestSimulateSystem:
         )
 
     def test_slowdown_greater_than_one(self):
-        result = simulate_system(
+        result = run_full_system(
             self.make_config(traditional_scheduler()),
             [spec_benchmark("429.mcf"), spec_benchmark("462.libquantum")],
             requests_per_core=300,
@@ -262,14 +268,14 @@ class TestSimulateSystem:
 
     def test_fork_beats_traditional_on_memory_bound_mix(self):
         benchmarks = [spec_benchmark("429.mcf"), spec_benchmark("462.libquantum")]
-        fork = simulate_system(
+        fork = run_full_system(
             self.make_config(fork_path_scheduler(32)),
             benchmarks,
             requests_per_core=400,
             footprint_cap=2000,
             seed=3,
         )
-        trad = simulate_system(
+        trad = run_full_system(
             self.make_config(traditional_scheduler()),
             benchmarks,
             requests_per_core=400,
@@ -280,7 +286,7 @@ class TestSimulateSystem:
 
     def test_footprint_must_fit_tree(self):
         with pytest.raises(ConfigError):
-            simulate_system(
+            run_full_system(
                 self.make_config(traditional_scheduler()),
                 [spec_benchmark("429.mcf"), spec_benchmark("470.lbm")],
                 requests_per_core=10,
@@ -288,7 +294,7 @@ class TestSimulateSystem:
             )
 
     def test_run_insecure_optional(self):
-        result = simulate_system(
+        result = run_full_system(
             self.make_config(traditional_scheduler()),
             [spec_benchmark("453.povray"), spec_benchmark("444.namd")],
             requests_per_core=20,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import random
 
 import pytest
 
@@ -129,15 +130,14 @@ class _ManualClock:
         return self.t
 
 
-class _ClockAdvancingSleep:
-    """Stand-in ``asyncio`` whose sleep advances a manual clock, so the
-    deadline-chain arithmetic is tested deterministically."""
+def _clock_advancing_sleep(clock: _ManualClock):
+    """Stand-in for the pacer's sleep that advances a manual clock, so
+    the deadline-grid arithmetic is tested deterministically."""
 
-    def __init__(self, clock: _ManualClock) -> None:
-        self._clock = clock
+    async def sleep(seconds: float) -> None:
+        clock.t += seconds * 1e9
 
-    async def sleep(self, seconds: float) -> None:
-        self._clock.t += seconds * 1e9
+    return sleep
 
 
 class TestPacer:
@@ -146,27 +146,69 @@ class TestPacer:
             Pacer(PaceConfig())
 
     def test_fixed_chain_and_overrun_reanchor(self, monkeypatch):
+        """An overrun no longer re-anchors the chain at "now": it skips
+        whole slots and stays on the seed-determined grid."""
         clock = _ManualClock()
-        monkeypatch.setattr(repro.pace, "asyncio", _ClockAdvancingSleep(clock))
+        monkeypatch.setattr(repro.pace, "_sleep", _clock_advancing_sleep(clock))
         pacer = Pacer(pace_config(interval_ns=1_000.0), clock=clock)
 
         async def scenario():
             first = await pacer.wait_for_slot()
             assert first == 1_000.0  # anchored at start, slept one gap
             assert pacer.pending_deadline_ns() == 2_000.0
-            # The access overruns three full gaps...
-            clock.t = 5_000.0
+            assert pacer.overruns == 0
+            # The access overruns the 2000, 3000 and 4000 deadlines...
+            clock.t = 4_250.0
             second = await pacer.wait_for_slot()
-            # ...and the chain re-anchors at now: no catch-up burst,
-            # the next deadline is a full gap after the overrun.
-            assert second == 0.0
+            # ...so those three slots are skipped whole and the pacer
+            # sleeps on to the next grid point: the slot is issued at
+            # 5000, not at the load-dependent 4250 (no re-anchoring),
+            # and not three times in a row (no catch-up burst).
+            assert pacer.overruns == 3
+            assert clock.t == 5_000.0
+            assert second == 750.0
             assert pacer.pending_deadline_ns() == 6_000.0
             third = await pacer.wait_for_slot()
             assert third == 1_000.0
             assert pacer.pending_deadline_ns() == 7_000.0
+            # Arriving exactly on a deadline is on time, not an overrun.
+            clock.t = 7_000.0
+            assert await pacer.wait_for_slot() == 0.0
+            assert pacer.overruns == 3
+            assert pacer.pending_deadline_ns() == 8_000.0
 
         asyncio.run(scenario())
-        assert pacer.waited_ns == 2_000.0
+        assert pacer.waited_ns == 2_750.0
+
+    def test_jittered_grid_is_seed_determined_under_overruns(self, monkeypatch):
+        """Every deadline — issued or skipped — is a prefix sum of the
+        seeded gap stream, however long the accesses in between ran."""
+        config = pace_config(
+            mode="jittered", interval_ns=1_000.0, jitter_ns=300.0, seed=11
+        )
+        reference = Pacer(config)
+        grid, total = [], 0.0
+        for _ in range(64):
+            total += reference.next_gap_ns()
+            grid.append(total)
+        clock = _ManualClock()
+        monkeypatch.setattr(repro.pace, "_sleep", _clock_advancing_sleep(clock))
+        pacer = Pacer(config, clock=clock)
+        access_ns = random.Random(5)
+
+        async def scenario():
+            issued = []
+            for _ in range(20):
+                await pacer.wait_for_slot()
+                issued.append(clock.t)
+                clock.t += access_ns.choice((100.0, 900.0, 2_700.0))
+            return issued
+
+        issued = asyncio.run(scenario())
+        assert pacer.overruns > 0
+        for when in issued:
+            assert any(when == pytest.approx(point) for point in grid)
+        assert len(set(issued)) == len(issued)  # never two slots at once
 
     def test_jitter_stream_is_seeded_and_bounded(self):
         config = pace_config(

@@ -52,7 +52,7 @@ from repro.config import (
     small_test_config,
 )
 from repro.cluster import ClusterService
-from repro.errors import BackendError, ConfigError
+from repro.errors import BackendError, ConfigError, TransientBackendError
 from repro.obs.schema import validate_event
 from repro.oram.memory import TraceRecorder
 from repro.oram.posmap import PositionMap
@@ -461,6 +461,98 @@ class TestFailureSemantics:
         drain(engine)
         assert (after.found, after.result) == (True, "precious")
         assert not posmap._overrides
+        engine.close()
+
+
+    def test_replicated_chain_write_failure_reinserts_and_keeps_wal_public(
+        self, tmp_path
+    ):
+        """Recursive posmap *with a replicator*, ambiguous write failure
+        at one level: the batch lands but reports failure. Every staged
+        block goes back into that level's stash, the request resolves
+        exactly once, and the WAL — which logged the failed refill
+        before the write — is still exactly the public trace."""
+
+        class AmbiguousLevelWrites(InMemoryBackend):
+            level = None  # armed: fail (after landing) writes to it
+            seen = []
+
+            async def aput_many(self, pairs):
+                await super().aput_many(pairs)
+                level = self.level
+                if level and level.node_base <= pairs[0][0] < level.node_end:
+                    self.seen.append((len(stash), pairs))
+                    raise TransientBackendError("landed, reported failed")
+
+        config = SystemConfig(
+            oram=small_test_config(8, block_bytes=64),
+            scheduler=SchedulerConfig(label_queue_size=8),
+            cache=CacheConfig(policy="none"),
+            posmap=PosmapConfig(mode="recursive", client_budget_bytes=64),
+            service=ServiceConfig(retry_attempts=2, retry_base_ns=1000.0),
+            replica=ReplicaConfig(
+                enabled=True,
+                dir=str(tmp_path / "replica"),
+                checkpoint_every_accesses=16,
+            ),
+        )
+        backend = AmbiguousLevelWrites()
+        engine = ObliviousEngine(
+            config, backend, replicator=Replicator(config.replica)
+        )
+        posmap = engine.posmap
+        assert posmap.depth >= 2
+        failing = posmap._levels[0]  # level 1: reached after a deeper one
+        stash = failing.stash
+
+        async def scenario():
+            for index in range(10):
+                await drive(
+                    engine, ServeRequest(op="put", addr=index, value=f"v{index}")
+                )
+            backend.level = failing.level
+            request = ServeRequest(
+                op="put", addr=3, value="doomed",
+                future=asyncio.get_running_loop().create_future(),
+            )
+            completed = engine.completed_requests
+            wal_before = engine.replicator.wal.last_seq
+            if 3 in engine.stash:  # force a chain, not a stash hit
+                engine.stash.pop(3)
+            assert engine.submit(request)
+            await engine.run_access()
+            backend.level = None
+            # Resolved exactly once, as a failure.
+            assert request.future.done() and request.future.result() is request
+            assert request.status == "failed"
+            assert engine.completed_requests == completed + 1
+            assert posmap.failed_chains == 1 and engine._inflight == {}
+            # Both attempts collected the same refill; every staged
+            # block is back in the failing level's stash.
+            assert len(backend.seen) == 2
+            at_write, pairs = backend.seen[-1]
+            staged = sum(
+                len(engine.store.cipher.open_blocks(sealed, 4))
+                for _node, sealed in pairs
+            )
+            assert staged > 0 and len(stash) == at_write + staged
+            # The refill was logged once, before the write, retries not.
+            logged = list(engine.replicator.wal.read_from(wal_before + 1))
+            assert [n for n, _s in logged[-1].writes] == [n for n, _s in pairs]
+            assert len(logged) == posmap.depth  # deeper levels + this one
+            # The service heals: the pinned labels repair the chain.
+            for addr in range(10):
+                result = await drive(engine, ServeRequest(op="get", addr=addr))
+                assert result.found, addr
+
+        run(scenario())
+        verify_chain_replication_stream(
+            posmap.layout,
+            engine.geometry,
+            list(engine.replicator.wal.read_from(1)),
+            merging=config.scheduler.enable_merging,
+            backend=backend,
+        )
         engine.close()
 
 

@@ -159,13 +159,16 @@ def test_wal_replay_buckets_last_wins_and_truncate(tmp_path):
 
 def test_max_sealed_counter_scans_suffix_and_torn_tail(tmp_path):
     """Recovery's counter floor must see every counter the log ever
-    exposed: complete records (bytes and pickled-tuple sealed forms)
-    *and* a torn tail whose partially written ciphertext still carries
-    its clear 16-byte counter prefix."""
+    exposed: complete records (both ciphers seal to bytes with a clear
+    16-byte counter prefix) *and* a torn tail whose partially written
+    ciphertext still carries that prefix."""
     path = str(tmp_path / WAL_FILENAME)
     wal = WriteAheadLog(path)
-    # NullCipher tuple form (pickled) and CounterModeCipher bytes form.
-    wal.append(WalRecord(seq=1, leaf=0, writes=[(5, (7, ()))]))
+    wal.append(
+        WalRecord(
+            seq=1, leaf=0, writes=[(5, (7).to_bytes(16, "little") + b"records")]
+        )
+    )
     wal.append(
         WalRecord(
             seq=2, leaf=1,
@@ -185,6 +188,48 @@ def test_max_sealed_counter_scans_suffix_and_torn_tail(tmp_path):
     reopened = WriteAheadLog(path)
     assert reopened.torn_tail and reopened.last_seq == 2
     reopened.close()
+
+
+def _retired_tag_frame(seq: int, payload: bytes) -> bytes:
+    """A CRC-valid WAL record whose one write carries tag 1 and a
+    pickle payload — what only pre-bytes-contract releases wrote."""
+    import struct
+    import zlib
+
+    body = struct.Struct("<qBI").pack(9, 1, len(payload)) + payload
+    return struct.Struct("<QqII").pack(seq, 4, 1, zlib.crc32(body)) + body
+
+
+def test_wal_rejects_retired_pickled_frames_without_unpickling(
+    tmp_path, hostile_pickle
+):
+    """Tag-1 payloads reach no unpickler — not from a replication frame
+    off the network, not from a log on disk, not from the counter scan —
+    and an old log is refused, not truncated as a torn tail."""
+    payload, flag = hostile_pickle
+    frame = _retired_tag_frame(2, payload)
+    with pytest.raises(ReplicationError, match="tag-1"):
+        WalRecord.decode(frame)  # the standby's network path
+
+    path = tmp_path / WAL_FILENAME
+    wal = WriteAheadLog(str(path))
+    good = wal.append(_record(1))
+    wal.close()
+    path.write_bytes(good + frame)
+    before = path.read_bytes()
+    with pytest.raises(ReplicationError) as excinfo:
+        WriteAheadLog(str(path))
+    assert str(path) in str(excinfo.value)
+    assert f"offset {len(good)}" in str(excinfo.value)
+    assert max_sealed_counter(str(path)) == 0
+    assert not flag.exists()
+    assert path.read_bytes() == before
+    # The same bytes with a broken CRC are an ordinary torn tail.
+    path.write_bytes(good + frame[:-1] + bytes([frame[-1] ^ 0xFF]))
+    reopened = WriteAheadLog(str(path))
+    assert reopened.torn_tail and reopened.last_seq == 1
+    reopened.close()
+    assert not flag.exists()
 
 
 def test_epoch_digester_boundaries_and_resume_equivalence():
@@ -276,10 +321,10 @@ def test_crash_between_wal_append_and_backend_write_recovers_exactly(tmp_path):
 
         # Keep serving, then die between the WAL append and the bucket
         # write: the WAL gains records the backend never saw.
-        async def crash(node_id, sealed):
+        async def crash(pairs):
             raise RuntimeError("simulated power loss")
 
-        engine.store.write_sealed = crash  # type: ignore[method-assign]
+        engine.store.write_many_sealed = crash  # type: ignore[method-assign]
         with pytest.raises(RuntimeError):
             await drive(engine, ServeRequest(op="put", addr=0, value="lost"))
         records_before = list(replicator.wal.read_from(1))

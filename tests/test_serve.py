@@ -30,6 +30,8 @@ import pytest
 
 from repro.config import (
     CacheConfig,
+    PosmapConfig,
+    ReplicaConfig,
     SchedulerConfig,
     ServiceConfig,
     SystemConfig,
@@ -41,6 +43,7 @@ from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
 from repro.oram.encryption import CounterModeCipher
 from repro.oram.memory import UntrustedMemory
+from repro.replica.replicator import Replicator
 from repro.oram.tree import TreeGeometry
 from repro.security.adversary import (
     split_trace_into_accesses,
@@ -169,25 +172,30 @@ class TestBackends:
                 backend.put_many([(1, bytearray(b"x"))])
             backend.close()
 
-    def test_file_backend_replays_legacy_pickled_records(self, tmp_path):
-        # Logs written before the bytes-only contract may contain
-        # pickled (tag=1) records; recovery must still read them.
-        import pickle
+    def test_file_backend_rejects_retired_pickled_records(
+        self, tmp_path, hostile_pickle
+    ):
+        """A tag-1 record (the retired pickled form) fails the open with
+        an error naming the file and offset. Its payload is never
+        unpickled, and the store is not truncated as if the record were
+        a torn tail."""
         import struct
         import zlib
 
-        path = str(tmp_path / "store.log")
-        legacy = (1, ((5, 2, "payload"),))
-        payload = pickle.dumps(legacy)
+        payload, flag = hostile_pickle
+        good = FileBackend._encode(3, b"sealed-three")
         frame = struct.Struct("<qIIB").pack(
             7, len(payload), zlib.crc32(payload), 1
         )
-        with open(path, "wb") as handle:
-            handle.write(frame + payload)
-        backend = FileBackend(path)
-        assert backend.recovered_records == 1
-        assert backend[7] == legacy
-        backend.close()
+        path = tmp_path / "store.log"
+        path.write_bytes(good + frame + payload)
+        before = path.read_bytes()
+        with pytest.raises(BackendError) as excinfo:
+            FileBackend(str(path))
+        assert str(path) in str(excinfo.value)
+        assert f"offset {len(good)}" in str(excinfo.value)
+        assert not flag.exists()
+        assert path.read_bytes() == before
 
     def test_file_backend_recovers_from_torn_tail(self, tmp_path):
         path = str(tmp_path / "store.log")
@@ -332,7 +340,7 @@ class TestRetryPolicy:
         async def scenario():
             with pytest.raises(BackendError):
                 for _ in range(40):  # p(3 clean ops in a row) ~ 2.7e-5
-                    await engine.store.read_blocks(0)
+                    await engine.store.read_many_sealed([0])
 
         asyncio.run(scenario())
         assert engine.store.retries > 0
@@ -352,7 +360,7 @@ class TestRetryPolicy:
 
         async def scenario():
             with pytest.raises(BackendError) as excinfo:
-                await engine.store.read_blocks(0)
+                await engine.store.read_many_sealed([0])
             assert "timed out" in str(excinfo.value)
 
         asyncio.run(scenario())
@@ -368,34 +376,39 @@ class FlakyWriteBackend(InMemoryBackend):
         super().__init__()
         self.fail_writes = False
 
-    async def aput(self, node_id, sealed):
+    async def aput_many(self, pairs):
         if self.fail_writes:
             raise TransientBackendError("injected write failure")
-        await super().aput(node_id, sealed)
+        await super().aput_many(pairs)
 
 
 class RootWriteFailingBackend(InMemoryBackend):
     """Writes of the root bucket fail transiently while ``arm`` is set.
 
-    The root is written last in the write-back loop, so by then the
-    stash's eligible blocks have been collected — exactly the state
-    where a buggy failure path would lose them.
+    The root is the last bucket of a write-back segment, so the batch
+    lands every deeper bucket and then fails: all of the stash's
+    eligible blocks have been collected and an ambiguous prefix is in
+    the tree — exactly the state where a buggy failure path would lose
+    (or duplicate) them.
     """
 
     def __init__(self):
         super().__init__()
         self.arm = False
 
-    async def aput(self, node_id, sealed):
-        if self.arm and node_id == 0:
-            raise TransientBackendError("injected root write failure")
-        await super().aput(node_id, sealed)
+    async def aput_many(self, pairs):
+        if self.arm:
+            for index, (node_id, _sealed) in enumerate(pairs):
+                if node_id == 0:
+                    await super().aput_many(pairs[:index])
+                    raise TransientBackendError("injected root write failure")
+        await super().aput_many(pairs)
 
 
 class FailingReadBackend(InMemoryBackend):
     """Every async read fails transiently."""
 
-    async def aget(self, node_id):
+    async def aget_many(self, node_ids):
         raise TransientBackendError("injected read failure")
 
 
@@ -594,6 +607,83 @@ class TestEngine:
             if name.startswith("serve.session.")
         ]
         assert len(session_keys) == SESSION_HISTOGRAM_CAP
+
+
+class CallLogBackend(InMemoryBackend):
+    """Logs every async batch the engine issues, with its node list."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    async def aget_many(self, node_ids):
+        self.calls.append(("read", list(node_ids)))
+        return await super().aget_many(node_ids)
+
+    async def aput_many(self, pairs):
+        self.calls.append(("write", [node_id for node_id, _sealed in pairs]))
+        await super().aput_many(pairs)
+
+
+class TestPathSegmentTraffic:
+    """The backend contract: one ``aget_many`` + one ``aput_many`` per
+    data access and per posmap level per chain, nothing else, with the
+    node lists the public records imply."""
+
+    @pytest.mark.parametrize("recursive", (False, True), ids=("flat", "recursive"))
+    @pytest.mark.parametrize("replicated", (False, True), ids=("plain", "replicated"))
+    def test_one_read_and_one_write_batch_per_segment(
+        self, tmp_path, recursive, replicated
+    ):
+        config = SystemConfig(
+            oram=small_test_config(8, block_bytes=64),
+            scheduler=SchedulerConfig(label_queue_size=8),
+            cache=CacheConfig(policy="none"),
+            posmap=PosmapConfig(
+                mode="recursive" if recursive else "flat",
+                client_budget_bytes=64,
+            ),
+            replica=ReplicaConfig(
+                enabled=replicated,
+                dir=str(tmp_path / "replica"),
+                checkpoint_every_accesses=16,
+            ),
+        )
+        backend = CallLogBackend()
+        engine = ObliviousEngine(
+            config,
+            backend,
+            replicator=Replicator(config.replica) if replicated else None,
+        )
+        for index in range(40):
+            submit(engine, "put" if index % 3 else "get", index % 17, f"v{index}")
+            drain(engine)
+        assert engine.failed_accesses == 0 and engine.accesses >= 40
+
+        expected = []
+        geometry = engine.geometry
+        chains = list(engine.posmap.chain_records) if recursive else []
+        if recursive:
+            assert engine.posmap.depth == 2
+            assert len(chains) == engine.accesses
+        for slot, (leaf, _dummy, n_read, n_written) in enumerate(engine.records):
+            if recursive:
+                levels = reversed(engine.posmap.layout.levels)
+                for level, chain_leaf in zip(levels, chains[slot]):
+                    path = level.path_nodes(chain_leaf)
+                    expected.append(("read", path))
+                    expected.append(("write", path[::-1]))
+            path = geometry.path_nodes(leaf)
+            if n_read:
+                expected.append(("read", list(path[-n_read:])))
+            if n_written:
+                expected.append(("write", list(path[::-1][:n_written])))
+        assert backend.calls == expected
+        # Nearly every access moves a non-empty segment each way.
+        reads = sum(1 for op, _nodes in backend.calls if op == "read")
+        per_slot = 1 + (engine.posmap.depth if recursive else 0)
+        assert reads > 0.9 * per_slot * engine.accesses
+        engine.close()
 
 
 # -------------------------------------------------------------------- service

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import warnings
 
 import pytest
 
@@ -16,7 +15,6 @@ from repro import (
     SystemConfig,
     TraceSource,
     fork_path_scheduler,
-    simulate_system,
     small_test_config,
 )
 from repro.obs import RingBufferSink, Tracer
@@ -131,21 +129,6 @@ class TestRunSystem:
         assert ring.events[-1].kind == "run_finished"
         assert tracer.counters.get("cores.count") == 2
         assert tracer.counters.get("cores.issued") == 50
-
-    def test_deprecated_wrapper_matches_facade(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = simulate_system(
-                config(), tiny_benchmarks(), requests_per_core=25
-            )
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        modern = Simulation(config()).run_system(
-            tiny_benchmarks(), requests_per_core=25
-        )
-        assert legacy.metrics.summary() == modern.metrics.summary()
-        assert legacy.slowdown == modern.slowdown
 
 
 class TestFromOverrides:
