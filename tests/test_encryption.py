@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,9 @@ from repro.oram.encryption import (
     CounterModeCipher,
     NullCipher,
     make_cipher,
+    open_state,
+    seal_state,
+    state_nonce,
 )
 
 
@@ -107,6 +112,36 @@ class TestCounterModeCipher:
     def test_empty_key_rejected(self):
         with pytest.raises(ConfigError):
             CounterModeCipher(b"", 16)
+
+
+class TestSealedStateKnownAnswer:
+    """Checkpoint envelopes are persisted by CLI-launched services, so
+    version 1 keeps its exact bytes (captured at cb02a95)."""
+
+    KEY = b"kat-state-key"
+    NONCE = state_nonce(7, b"shard-0")
+    ENVELOPE = bytes.fromhex(
+        "5250534c011044de96955277906f2745a854758426fea0cc32ea06061d988d45"
+        "7e00936fc6e42b07fa15d3d9fd91065a4c7a1c240c563b8c14a3af1967cd1c96"
+        "e867483b6fc6f949739d2ecb37256fad2c409a17e6189d9b5852ea8d73c982c3"
+        "7a6648987835c6c890d5eded9258b109b5547349e2aea61dcd2df131"
+    )
+
+    def test_version_1_envelope_bytes(self):
+        assert self.NONCE.hex() == "44de96955277906f2745a854758426fe"
+        plaintext = bytes(range(70))
+        assert seal_state(self.KEY, plaintext, self.NONCE) == self.ENVELOPE
+        assert open_state(self.KEY, self.ENVELOPE) == plaintext
+
+    def test_multi_chunk_envelope_digest(self):
+        """157 keystream chunks — a checkpoint-sized body."""
+        plaintext = bytes(i * 7 % 251 for i in range(5000))
+        sealed = seal_state(self.KEY, plaintext, self.NONCE)
+        assert hashlib.sha256(sealed).hexdigest() == (
+            "fff205f300017f9c14cf977c50e81843"
+            "db6bce6fe095c2f7abdb8d2588f24b02"
+        )
+        assert open_state(self.KEY, sealed) == plaintext
 
 
 class TestFactory:

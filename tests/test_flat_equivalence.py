@@ -162,9 +162,24 @@ def _replica_config(tmp_path) -> ReplicaConfig:
     )
 
 
+def _opened(engine: ObliviousEngine, sealed: bytes) -> tuple:
+    """A sealed bucket below the ciphertext: the clear counter prefix
+    and the blocks it opens to."""
+    store = engine.store
+    return (
+        bytes(sealed[:16]),
+        [
+            (block.addr, block.leaf, bytes(block.payload))
+            for block in store.cipher.open_blocks(sealed, store.bucket_slots)
+        ],
+    )
+
+
 def _drive_engine(engine: ObliviousEngine, *, binary: bool = False):
     """Sixty seeded puts/gets, each drained before the next; digests of
-    the bus trace, access records, store image, WAL and results."""
+    the bus trace, access records, store image, WAL and results. With
+    the real cipher, ``image_plain``/``wal_plain`` digest the same image
+    and WAL opened — what must survive a ciphertext-format change."""
     results = []
 
     async def scenario():
@@ -203,11 +218,21 @@ def _drive_engine(engine: ObliviousEngine, *, binary: bool = False):
              engine.store.retries, engine.store.cipher.state())
         ),
     }
-    if engine.replicator is not None:
-        observed["wal"] = _digest(
-            [(r.seq, r.leaf, r.writes)
-             for r in engine.replicator.wal.read_from(1)]
+    real_cipher = isinstance(engine.store.cipher, CounterModeCipher)
+    if real_cipher:
+        observed["image_plain"] = _digest(
+            [(node, _opened(engine, sealed))
+             for node, sealed in sorted(image.items())]
         )
+    if engine.replicator is not None:
+        wal = list(engine.replicator.wal.read_from(1))
+        observed["wal"] = _digest([(r.seq, r.leaf, r.writes) for r in wal])
+        if real_cipher:
+            observed["wal_plain"] = _digest(
+                [(r.seq, r.leaf,
+                  [(node, *_opened(engine, sealed)) for node, sealed in r.writes])
+                 for r in wal]
+            )
     engine.close()
     return observed
 
@@ -260,6 +285,16 @@ ENGINE_REPLICATED_GOLDEN = {
     "wal": (
         "cf0fdd9ef7c89800e810c11601a78118"
         "c94c4fb8e671ca8a0791b30a0ab6266d"
+    ),
+    # Captured at cb02a95, before the bucket keystream changed: the
+    # image and the WAL opened (counter prefix + blocks per bucket).
+    "image_plain": (
+        "2decfb2bf6c9fee23ed5b6a0e1a498cf"
+        "c4e2708f34d2bf709016b897236e691d"
+    ),
+    "wal_plain": (
+        "06be0176dbbc91579a11e4a8f97b97de"
+        "795a119a1e306d36ba45e1d3b2a904a0"
     ),
 }
 #: Captured at 74ad3a0 from the batched path (see module docstring).
