@@ -87,9 +87,11 @@ class ClusterService(ServiceFrontEnd):
         return await super().start()
 
     async def stop(self) -> None:
-        await super().stop()
-        if self.fleet is not None:
-            await self.fleet.stop()
+        try:
+            await super().stop()  # raises what killed a dead work loop
+        finally:
+            if self.fleet is not None:
+                await self.fleet.stop()
 
     # ----------------------------------------------------------------- hooks
 

@@ -6,10 +6,20 @@ versus real blocks. Counter-mode encryption with a fresh counter per
 write provides this (paper Section 2.3, citing the counter-mode secure
 processors of Shi et al. / Ren et al.).
 
-Hardware uses AES; offline we derive the keystream from SHA-256 over
-``key || counter || block_index``, which has the same structural
-properties that matter here: a deterministic pseudo-random pad, fresh
-per write, XORed over a fixed-size serialised bucket.
+Hardware uses AES; offline the pad comes from a hash, which has the
+same structural properties that matter here: a deterministic
+pseudo-random pad, fresh per write, XORed over a fixed-size serialised
+bucket. Two keystreams live in this module, and they are
+domain-separated — the same key and the same 16 counter/nonce bytes
+give unrelated pads:
+
+* **buckets** — SHAKE-256 over ``len(key) || key || _BUCKET_DOMAIN ||
+  counter``, squeezed once per bucket. One extendable-output call
+  replaces a chunk-per-32-bytes loop: the hash calls, not the XOR or
+  the serialisation, were the cost of a seal.
+* **checkpoints** (:func:`seal_state`) — chunked SHA-256 over ``key ||
+  nonce || chunk_index``. Sealed checkpoints are persisted by running
+  services, so this version-1 envelope keeps its exact bytes.
 
 Two implementations share the :class:`BucketCipher` interface:
 
@@ -32,6 +42,10 @@ from repro.oram import records
 from repro.oram.blocks import Block, Bucket, DUMMY_ADDR
 
 _HEADER = struct.Struct("<qq")  # (addr, leaf) per slot
+_DUMMY_HEADER = _HEADER.pack(DUMMY_ADDR, 0)
+#: Domain tag of the bucket keystream, absorbed after the
+#: length-prefixed key: no (key, tag) pair is a prefix of another.
+_BUCKET_DOMAIN = b"repro.oram.bucket-keystream"
 
 
 class BucketCipher:
@@ -129,6 +143,14 @@ class CounterModeCipher(BucketCipher):
     whole bucket image is XORed with a keystream derived from
     ``(key, counter)``; the counter increments on every seal, so sealing
     the same bucket twice yields unrelated ciphertexts.
+
+    The keystream is one SHAKE-256 squeeze per bucket. The constructor
+    absorbs ``len(key) || key || _BUCKET_DOMAIN`` once; a seal or an
+    open copies that midstate, absorbs the 16 counter bytes and squeezes.
+    A seal squeezes ``block_bytes`` past the image: the head of the
+    stream is the XOR pad and the disjoint tail is the dummy-slot
+    padding, so padding costs no second derivation and no stream byte
+    is used twice.
     """
 
     def __init__(self, key: bytes, block_bytes: int) -> None:
@@ -136,28 +158,18 @@ class CounterModeCipher(BucketCipher):
             raise ConfigError("encryption key must be non-empty")
         if block_bytes < 1:
             raise ConfigError(f"block_bytes must be >= 1, got {block_bytes}")
-        self._key = bytes(key)
         self._block_bytes = block_bytes
+        self._slot = _HEADER.size + block_bytes
         self._counter = 0
-        #: Reusable plaintext-image scratch buffer: seal/open serialise
-        #: into this instead of allocating a fresh bytearray per bucket
-        #: (the flat data plane's allocation-free steady state).
-        self._scratch = bytearray()
+        key = bytes(key)
+        self._midstate = hashlib.shake_256(
+            len(key).to_bytes(8, "little") + key + _BUCKET_DOMAIN
+        )
 
-    # ------------------------------------------------------------ keystream
-
-    def _keystream(self, counter: int, length: int) -> bytes:
-        out = bytearray()
-        chunk_index = 0
-        prefix = self._key + counter.to_bytes(16, "little")
-        while len(out) < length:
-            out.extend(
-                hashlib.sha256(
-                    prefix + chunk_index.to_bytes(8, "little")
-                ).digest()
-            )
-            chunk_index += 1
-        return bytes(out[:length])
+    def _keystream(self, counter_prefix: bytes, length: int) -> bytes:
+        stream = self._midstate.copy()
+        stream.update(counter_prefix)
+        return stream.digest(length)
 
     # ----------------------------------------------------------- serialise
 
@@ -182,9 +194,6 @@ class CounterModeCipher(BucketCipher):
             )
         return raw.ljust(self._block_bytes, b"\x00")
 
-    def _slot_bytes(self) -> int:
-        return _HEADER.size + self._block_bytes
-
     def seal(self, bucket: Bucket, capacity: int) -> bytes:
         """Encrypt a bucket into ``16 + capacity * slot`` ciphertext bytes.
 
@@ -193,68 +202,54 @@ class CounterModeCipher(BucketCipher):
         so the controller can regenerate the keystream; it reveals only
         write ordering, which the adversary observes anyway.
         """
-        if len(bucket) > capacity:
+        blocks = bucket.blocks
+        if len(blocks) > capacity:
             raise ConfigError(
-                f"bucket holds {len(bucket)} blocks, capacity {capacity}"
+                f"bucket holds {len(blocks)} blocks, capacity {capacity}"
             )
         self._counter += 1
-        counter = self._counter
-        slot = self._slot_bytes()
-        total = capacity * slot
-        image = self._scratch
-        if len(image) != total:
-            image = self._scratch = bytearray(total)
-        header_size = _HEADER.size
-        offset = 0
-        for block in bucket.blocks:
-            _HEADER.pack_into(image, offset, block.addr, block.leaf)
-            image[offset + header_size : offset + slot] = self._serialise_payload(
-                block.payload
-            )
-            offset += slot
-        if offset < total:
-            # Dummy padding derived from the counter: pseudo-random, but
-            # deterministic so tests can round-trip. Identical for every
-            # dummy slot of one seal, so derive it once.
-            dummy_pad = self._keystream(counter ^ 0x5A5A5A5A, self._block_bytes)
-            while offset < total:
-                _HEADER.pack_into(image, offset, DUMMY_ADDR, 0)
-                image[offset + header_size : offset + slot] = dummy_pad
-                offset += slot
-        pad = self._keystream(counter, total)
-        # Bytewise XOR via one big-int op (C speed) instead of a Python
-        # per-byte loop; byte-identical output.
+        prefix = self._counter.to_bytes(16, "little")
+        total = capacity * self._slot
+        stream = self._keystream(prefix, total + self._block_bytes)
+        pack = _HEADER.pack
+        serialise = self._serialise_payload
+        slots = [
+            pack(block.addr, block.leaf) + serialise(block.payload)
+            for block in blocks
+        ]
+        # Pseudo-random but deterministic (tests round-trip), identical
+        # for every dummy slot of one seal.
+        slots.append((_DUMMY_HEADER + stream[total:]) * (capacity - len(blocks)))
+        # Bytewise XOR via one big-int op (C speed), not a per-byte loop.
         body = (
-            int.from_bytes(image, "little") ^ int.from_bytes(pad, "little")
+            int.from_bytes(b"".join(slots), "little")
+            ^ int.from_bytes(stream[:total], "little")
         ).to_bytes(total, "little")
-        return counter.to_bytes(16, "little") + body
+        return prefix + body
 
     def open(self, sealed: object, capacity: int) -> Bucket:
         if not isinstance(sealed, (bytes, bytearray)):
             raise DecryptionError("ciphertext must be bytes")
-        slot = self._slot_bytes()
+        slot = self._slot
         total = capacity * slot
         expected = 16 + total
         if len(sealed) != expected:
             raise DecryptionError(
                 f"ciphertext length {len(sealed)} != expected {expected}"
             )
-        counter = int.from_bytes(sealed[:16], "little")
-        pad = self._keystream(counter, total)
+        pad = self._keystream(sealed[:16], total)
         image = (
             int.from_bytes(sealed[16:], "little") ^ int.from_bytes(pad, "little")
         ).to_bytes(total, "little")
         bucket = Bucket(capacity)
         header_size = _HEADER.size
         unpack_from = _HEADER.unpack_from
-        offset = 0
-        for _ in range(capacity):
+        for offset in range(0, total, slot):
             addr, leaf = unpack_from(image, offset)
             if addr != DUMMY_ADDR:
                 bucket.add(
                     Block(addr, leaf, image[offset + header_size : offset + slot])
                 )
-            offset += slot
         return bucket
 
 
@@ -264,28 +259,36 @@ _STATE_HEADER = struct.Struct("<4sBB")
 _STATE_NONCE_BYTES = 16
 
 
+#: ``chunk_index`` suffixes of the checkpoint keystream, grown on demand.
+_CHUNK_SUFFIXES: List[bytes] = []
+
+
 def _state_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """SHA-256 counter-mode keystream over ``key || nonce || index``."""
-    out = bytearray()
-    chunk_index = 0
-    prefix = key + nonce
-    while len(out) < length:
-        out.extend(
-            hashlib.sha256(prefix + chunk_index.to_bytes(8, "little")).digest()
-        )
-        chunk_index += 1
-    return bytes(out[:length])
+    """SHA-256 counter-mode keystream over ``key || nonce || index``
+    (the version-1 checkpoint format): one midstate over the common
+    prefix, copied per 32-byte chunk."""
+    chunks = -(-length // 32)
+    for index in range(len(_CHUNK_SUFFIXES), chunks):
+        _CHUNK_SUFFIXES.append(index.to_bytes(8, "little"))
+    copy = hashlib.sha256(key + nonce).copy
+    out = []
+    for suffix in _CHUNK_SUFFIXES[:chunks]:
+        chunk = copy()
+        chunk.update(suffix)
+        out.append(chunk.digest())
+    return b"".join(out)[:length]
 
 
 def seal_state(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
     """Seal an opaque client-state blob (checkpoints, ``repro.replica``).
 
-    Same counter-mode construction as :class:`CounterModeCipher`, but
-    over arbitrary bytes with an explicit caller-supplied ``nonce``
-    (which must never repeat under one key — checkpoint writers use the
-    monotone access sequence number). A SHA-256 digest of the plaintext
-    rides inside the sealed envelope, so :func:`open_state` detects
-    truncation, corruption and wrong-key opens.
+    Counter-mode like :class:`CounterModeCipher`, on its own keystream
+    (:func:`_state_keystream`), over arbitrary bytes with an explicit
+    caller-supplied ``nonce`` (which must never repeat under one key —
+    checkpoint writers use the monotone access sequence number). A
+    SHA-256 digest of the plaintext rides inside the sealed envelope, so
+    :func:`open_state` detects truncation, corruption and wrong-key
+    opens.
 
     Layout: ``magic(4) version(1) nonce_len(1) nonce ||
     E(digest(32) || plaintext)``.

@@ -66,9 +66,9 @@ class WalRecord:
             body += _WRITE.pack(node_id, _TAG_BYTES, len(sealed))
             body += sealed
         header = _RECORD.pack(
-            self.seq, self.leaf, len(self.writes), zlib.crc32(bytes(body))
+            self.seq, self.leaf, len(self.writes), zlib.crc32(body)
         )
-        return header + bytes(body)
+        return header + body  # bytes + bytearray is bytes: the one copy
 
     @classmethod
     def decode(cls, raw: bytes) -> "WalRecord":

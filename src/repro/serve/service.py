@@ -34,7 +34,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
-from typing import Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.config import SystemConfig
 from repro.errors import ProtocolError
@@ -94,6 +94,12 @@ class ServiceFrontEnd:
         self._session_tasks: Set[asyncio.Task] = set()
         self._session_ids = itertools.count(1)
         self._stopping = False
+        #: Requests handed to :meth:`_admit` and not yet answered, by
+        #: ``request_id`` — what a dead work loop still owes a reply.
+        self._owed: Dict[int, ServeRequest] = {}
+        #: What killed the work loop (None while it runs or after a
+        #: clean exit).
+        self._work_failure: Optional[BaseException] = None
         self.sessions_opened = 0
         self.frames_received = 0
 
@@ -211,6 +217,7 @@ class ServiceFrontEnd:
             self._handle_session, service.host, service.port
         )
         self._work_task = asyncio.create_task(self._work_loop())
+        self._work_task.add_done_callback(self._on_work_done)
         sock = self._server.sockets[0]
         host, port = sock.getsockname()[:2]
         return host, port
@@ -227,13 +234,57 @@ class ServiceFrontEnd:
             await asyncio.gather(*self._session_tasks, return_exceptions=True)
         self._wake.set()
         if self._work_task is not None:
+            # Re-raises what killed a dead work loop, before _shutdown:
+            # state abandoned mid-access must not be sealed as the
+            # closing checkpoint.
             await self._work_task
         self._shutdown()
 
     async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
+        """Serve until cancelled; if the work loop dies, raise what
+        killed it."""
+        assert (
+            self._server is not None and self._work_task is not None
+        ), "call start() first"
         async with self._server:
-            await self._server.serve_forever()
+            accepting = asyncio.ensure_future(self._server.serve_forever())
+            try:
+                await asyncio.wait(
+                    {accepting, self._work_task},
+                    return_when=asyncio.FIRST_COMPLETED,
+                )
+            finally:
+                accepting.cancel()
+        if self._work_failure is not None:
+            raise self._work_failure
+
+    def _on_work_done(self, task: "asyncio.Task[None]") -> None:
+        """Done-callback of the work loop: a dead loop must not hang
+        clients.
+
+        Nothing else resolves request futures, so on an exception every
+        owed request is failed here with the error text, and every
+        session is dropped once it has written those replies (one may
+        be blocked in :meth:`_admit` on a queue nobody drains any
+        more). Connections opened afterwards are refused with the same
+        text; :meth:`serve_forever` and :meth:`stop` raise the
+        exception itself.
+        """
+        if task.cancelled() or task.exception() is None:
+            return
+        self._work_failure = task.exception()
+        error = self._work_error()
+        for request in self._owed.values():
+            if not request.future.done():
+                request.status = "failed"
+                request.error = error
+                request.future.set_result(request)
+        for session in list(self._session_tasks):
+            session.cancel()
+
+    def _work_error(self) -> str:
+        failure = self._work_failure
+        return f"service work loop died: {type(failure).__name__}: {failure}"
 
     # --------------------------------------------------------------- sessions
 
@@ -314,6 +365,8 @@ class ServiceFrontEnd:
                         await protocol.write_message(writer, control_response)
                     continue
                 try:
+                    if self._work_failure is not None:
+                        raise ProtocolError(self._work_error())
                     addr, op, value = protocol.validate_request(
                         message, self.num_blocks
                     )
@@ -335,6 +388,7 @@ class ServiceFrontEnd:
                     arrival_ns=arrival,
                     future=asyncio.get_running_loop().create_future(),
                 )
+                self._owed[request.request_id] = request
                 # May block when the admission queue is full — the
                 # backpressure point: this handler stops reading.
                 await self._admit(request)
@@ -457,6 +511,7 @@ class ServiceFrontEnd:
     ) -> None:
         assert request.future is not None
         done = await request.future
+        del self._owed[request.request_id]
         response = protocol.make_response(
             done.client_id,
             ok=done.status != "failed",

@@ -9,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, DecryptionError
-from repro.oram.blocks import Block, Bucket
+from repro.oram import encryption
+from repro.oram.blocks import DUMMY_ADDR, Block, Bucket
 from repro.oram.encryption import (
     CounterModeCipher,
     NullCipher,
     make_cipher,
     open_state,
+    promotion_counter,
     seal_state,
     state_nonce,
 )
+from repro.replica.wal import WalRecord, max_sealed_counter
 
 
 def bucket_with(*blocks: Block, capacity: int = 4) -> Bucket:
@@ -67,6 +70,10 @@ class TestCounterModeCipher:
         value = int.from_bytes(opened.find(3).payload, "little", signed=True)
         assert value == 1234567
 
+    def test_roundtrip_none_payload(self):
+        opened = self.cipher.open(self.cipher.seal(bucket_with(Block(3, 5)), 4), 4)
+        assert opened.find(3).payload == bytes(16)
+
     def test_probabilistic_reencryption(self):
         """The same plaintext bucket seals to different ciphertexts."""
         bucket = bucket_with(Block(1, 1, b"same"))
@@ -112,6 +119,132 @@ class TestCounterModeCipher:
     def test_empty_key_rejected(self):
         with pytest.raises(ConfigError):
             CounterModeCipher(b"", 16)
+
+    def test_counter_state_restore_and_promotion(self):
+        """``state``/``restore`` carry the write counter; a promoted
+        counter is past the floor and seals under a fresh 128-bit prefix."""
+        bucket = bucket_with(Block(1, 1, b"x"))
+        self.cipher.seal(bucket, 4)
+        self.cipher.seal(bucket, 4)
+        assert self.cipher.state() == 2
+        with pytest.raises(ConfigError):
+            self.cipher.restore(-1)
+        promoted = promotion_counter(self.cipher.state())
+        assert promoted > 2 and promoted >> 64
+        self.cipher.restore(promoted)
+        sealed = self.cipher.seal(bucket, 4)
+        assert int.from_bytes(sealed[:16], "little") == promoted + 1
+        assert self.cipher.open(sealed, 4).find(1).payload[:1] == b"x"
+
+    def test_counter_prefix_readable_by_wal_scan(self, tmp_path):
+        """Recovery harvests burned counters from the clear prefix."""
+        self.cipher.restore(41)
+        sealed = self.cipher.seal(bucket_with(Block(1, 1, b"x")), 4)
+        path = tmp_path / "wal.log"
+        path.write_bytes(WalRecord(seq=1, leaf=0, writes=[(5, sealed)]).encode())
+        assert max_sealed_counter(str(path)) == 42
+
+
+class TestBucketKeystream:
+    """The sealed-bucket format: one SHAKE-256 squeeze per bucket."""
+
+    KEY = b"kat-bucket-key"
+    COUNTER = 0x0102030405060709
+    BUCKET = (Block(3, 5, b"hello"), Block(9, 2, 1234567))
+    SEALED = bytes.fromhex(
+        "09070605040302010000000000000000da1042ec2abf8481a18e0169c091abcd"
+        "483ddddd78cb2cb58b2ca42459944757021573e74b95128e6c462c0d47e1a119"
+        "3599d4922385d53a57bb9627fa60992ed145cd82a8349fbce1371d582c581d58"
+        "a8957ef82fe0c74eae4b239518bc83ffe1587cb8faeba1956f6331eef1abdf67"
+        "e4e78dcfdc3f2d7182d605dd1ae3f7ac"
+    )
+
+    def sealed_once(self) -> bytes:
+        cipher = CounterModeCipher(self.KEY, block_bytes=16)
+        cipher.restore(self.COUNTER - 1)
+        return cipher.seal(bucket_with(*self.BUCKET), 4)
+
+    def test_known_answer(self):
+        """Deterministic given (key, counter, bucket); Z=4, 16-byte blocks."""
+        assert self.sealed_once() == self.SEALED
+        opened = CounterModeCipher(self.KEY, block_bytes=16).open(self.SEALED, 4)
+        assert [(b.addr, b.leaf) for b in opened.blocks] == [(3, 5), (9, 2)]
+
+    def test_pad_is_stream_head_and_dummy_padding_its_tail(self):
+        """Rebuild the stream from the documented construction: its head
+        decrypts the body, and both dummy slots hold its disjoint tail."""
+        counter = self.COUNTER.to_bytes(16, "little")
+        assert self.SEALED[:16] == counter
+        stream = hashlib.shake_256(
+            len(self.KEY).to_bytes(8, "little")
+            + self.KEY
+            + b"repro.oram.bucket-keystream"
+            + counter
+        ).digest(4 * 32 + 16)
+        image = bytes(a ^ b for a, b in zip(self.SEALED[16:], stream))
+        dummy = DUMMY_ADDR.to_bytes(8, "little", signed=True) + bytes(8)
+        assert image[64:96] == image[96:128] == dummy + stream[128:]
+        assert image[16:32] == b"hello".ljust(16, b"\x00")
+
+    def test_bucket_and_checkpoint_streams_are_domain_separated(self):
+        """Same key, same 16 counter/nonce bytes: unrelated pads."""
+        nonce = self.COUNTER.to_bytes(16, "little")
+        cipher = CounterModeCipher(self.KEY, block_bytes=16)
+        bucket_pad = cipher._keystream(nonce, 128)
+        state_pad = encryption._state_keystream(self.KEY, nonce, 128)
+        assert len(bucket_pad) == len(state_pad) == 128
+        agreeing = sum(a == b for a, b in zip(bucket_pad, state_pad))
+        assert agreeing < 8  # independent bytes agree 1 in 256
+
+    @pytest.mark.parametrize("capacity", [1, 4])
+    @pytest.mark.parametrize("block_bytes", [16, 64])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_one_keystream_call_per_seal_and_per_open(
+        self, monkeypatch, capacity, block_bytes, full
+    ):
+        """The perf guard, without a clock: a bucket costs exactly one
+        hash ``digest`` each way — no per-chunk loop, no second
+        derivation for dummy padding."""
+        counting = _CountingHashlib()
+        monkeypatch.setattr(encryption, "hashlib", counting)
+        cipher = CounterModeCipher(b"count-key", block_bytes)
+        blocks = [Block(i + 1, i, b"x") for i in range(capacity if full else 0)]
+        assert counting.digests == 0
+        sealed = cipher.seal(bucket_with(*blocks, capacity=capacity), capacity)
+        assert counting.digests == 1
+        opened = cipher.open(sealed, capacity)
+        assert counting.digests == 2
+        assert [b.addr for b in opened.blocks] == [b.addr for b in blocks]
+
+
+class _CountingHash:
+    def __init__(self, owner: "_CountingHashlib", inner) -> None:
+        self._owner = owner
+        self._inner = inner
+
+    def copy(self) -> "_CountingHash":
+        return _CountingHash(self._owner, self._inner.copy())
+
+    def update(self, data: bytes) -> None:
+        self._inner.update(data)
+
+    def digest(self, *args: int) -> bytes:
+        self._owner.digests += 1
+        return self._inner.digest(*args)
+
+
+class _CountingHashlib:
+    """Stand-in for the ``hashlib`` name inside ``repro.oram.encryption``
+    that counts ``digest`` calls across every hash object and its copies."""
+
+    def __init__(self) -> None:
+        self.digests = 0
+
+    def shake_256(self, data: bytes = b"") -> _CountingHash:
+        return _CountingHash(self, hashlib.shake_256(data))
+
+    def sha256(self, data: bytes = b"") -> _CountingHash:
+        return _CountingHash(self, hashlib.sha256(data))
 
 
 class TestSealedStateKnownAnswer:

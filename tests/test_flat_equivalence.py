@@ -270,9 +270,11 @@ ENGINE_REPLICATED_GOLDEN = {
         "867774c83acba6fd172446cb08aab3c7"
         "34b3f49cbe1a2f6863117feabfe64a72"
     ),
+    # Ciphertext: re-captured once, when the bucket keystream became one
+    # SHAKE-256 squeeze (was dc304714…61f3e4f9 at 74ad3a0..cb02a95).
     "image": (
-        "dc304714795ab9d60794b52b0e632501"
-        "191ffe700c768bc63c0c7db161f3e4f9"
+        "847632d535fc318ff85e0fbf3159d110"
+        "a52105d62636f3e2668b3fcfd0a8a404"
     ),
     "results": (
         "074f299cd025f3d333b4688fc4d711e6"
@@ -282,12 +284,14 @@ ENGINE_REPLICATED_GOLDEN = {
         "8eba85dd87db5322dbb162b96c9256c2"
         "fecb48162dfbfe4fb7031d292a1879a6"
     ),
+    # Ciphertext, re-captured with "image" (was cf0fdd9e…0ab6266d).
     "wal": (
-        "cf0fdd9ef7c89800e810c11601a78118"
-        "c94c4fb8e671ca8a0791b30a0ab6266d"
+        "bf47b79701652a41d6b8d96336d4e5ba"
+        "f5d19fe1606d5f0fc40502ab7f64b177"
     ),
-    # Captured at cb02a95, before the bucket keystream changed: the
-    # image and the WAL opened (counter prefix + blocks per bucket).
+    # Plaintext level, captured at cb02a95 before the keystream changed
+    # and unchanged by it: the image and the WAL opened (counter prefix
+    # + blocks per bucket).
     "image_plain": (
         "2decfb2bf6c9fee23ed5b6a0e1a498cf"
         "c4e2708f34d2bf709016b897236e691d"
@@ -356,9 +360,10 @@ class TestServeEngineEquivalence:
         assert _drive_engine(engine) == ENGINE_FLAT_GOLDEN
 
     def test_replicated_engine_matches_per_node_reference(self, tmp_path):
-        """Real cipher + WAL: the seal order (cipher-counter sequence),
-        the logged bytes and the stored bytes all match the per-node
-        ``write_sealed`` loop."""
+        """Real cipher + WAL: the seal order (cipher-counter sequence)
+        and the logged and stored buckets, opened, all match the
+        per-node ``write_sealed`` loop; the ciphertext digests pin the
+        current bucket keystream."""
         config = _serve_config(replica=_replica_config(tmp_path))
         engine = ObliviousEngine(
             config,

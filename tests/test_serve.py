@@ -802,6 +802,47 @@ class TestService:
         assert "op" in bad["error"]
         assert (good["id"], good["ok"]) == (2, True)
 
+    def test_dead_work_loop_fails_clients_and_stop_reraises(self):
+        """A ``str`` payload is a ``ConfigError`` in ``CounterModeCipher``
+        at write-back — inside the work loop, after the put itself was
+        acknowledged. The loop is dead; nothing it owed may hang."""
+        config = serve_system(levels=5)
+        cipher = CounterModeCipher(b"key", config.oram.block_bytes)
+
+        async def read(reader):
+            return await asyncio.wait_for(protocol.read_message(reader), 2.0)
+
+        async def scenario():
+            service = OramService(config, cipher=cipher)
+            host, port = await service.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            await protocol.write_message(
+                writer, {"id": 1, "op": "put", "addr": 1, "value": "a str"}
+            )
+            await protocol.write_message(writer, {"id": 2, "op": "get", "addr": 2})
+            owed = [await read(reader), await read(reader)]
+            dropped = await read(reader)
+            late_reader, late_writer = await asyncio.open_connection(host, port)
+            await protocol.write_message(
+                late_writer, {"id": 3, "op": "get", "addr": 2}
+            )
+            refused = await read(late_reader)
+            for stream in (writer, late_writer):
+                stream.close()
+                await stream.wait_closed()
+            with pytest.raises(ConfigError, match="got str"):
+                await asyncio.wait_for(service.serve_forever(), 2.0)
+            with pytest.raises(ConfigError, match="got str"):
+                await asyncio.wait_for(service.stop(), 2.0)
+            return owed, dropped, refused
+
+        owed, dropped, refused = asyncio.run(scenario())
+        assert (owed[0]["id"], owed[0]["ok"]) == (1, True)
+        assert dropped is None  # a dead service drops its connections
+        for response, client_id in ((owed[1], 2), (refused, 3)):
+            assert (response["id"], response["ok"]) == (client_id, False)
+            assert "work loop died: ConfigError" in response["error"]
+
     def test_admission_backpressure_bounds_engine_queue(self):
         """A tiny admission queue + saturated label queue must never
         admit more than capacity holds; the rest waits in the socket."""
