@@ -15,6 +15,10 @@ processes and real sockets:
    validates against the schema (up to the torn line a SIGKILL may
    leave).
 
+Then the graceful counterpart: **SIGTERM** a primary — ``stop()`` runs,
+exit code 0 — restart over the same directories (``repro promote``) and
+read every acknowledged write back over TCP.
+
 Exit 0 = all guarantees held. Used by CI; also runnable by hand::
 
     PYTHONPATH=src python scripts/replication_smoke.py
@@ -183,28 +187,89 @@ async def scenario(base_dir: str, host: str, port: int, kill) -> int:
     return 0
 
 
+def spawn(arguments: list, env: dict):
+    """Start ``python -m repro ARGUMENTS``; returns the process and the
+    ``(host, port)`` its banner names (None if it never got that far)."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", *arguments],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    assert process.stdout is not None
+    for line in process.stdout:
+        match = BANNER.search(line)
+        if match:
+            return process, (match.group(1), int(match.group(2)))
+    return process, None
+
+
+async def read_back(host: str, port: int, expected: dict) -> list:
+    """Get every address over TCP; returns the mismatches."""
+    reader, writer = await asyncio.open_connection(host, port)
+    wrong = []
+    for addr, value in expected.items():
+        await protocol.write_message(
+            writer, {"id": addr, "op": "get", "addr": addr}
+        )
+        response = await protocol.read_message(reader)
+        if not response or response.get("value") != value:
+            wrong.append((addr, value, response))
+    writer.close()
+    await writer.wait_closed()
+    return wrong
+
+
+def graceful_stop_drill(env: dict) -> int:
+    """SIGTERM instead of SIGKILL: the service stops itself cleanly."""
+    base_dir = tempfile.mkdtemp(prefix="replication-smoke-graceful-")
+    flags = ["--small"]
+    for pair in service_overrides(base_dir):
+        flags += ["--set", pair]
+    replica_dir = os.path.join(base_dir, "primary")
+    acknowledged: dict = {}
+    promote = ["promote", "--dir", replica_dir]
+    # Each pass first reads back what the previous one acknowledged.
+    for arguments in (["serve"], promote, promote):
+        process, address = spawn(arguments + flags, env)
+        try:
+            if address is None:
+                print(f"FAIL: {arguments[0]} did not start")
+                return 1
+            wrong = asyncio.run(read_back(*address, acknowledged))
+            if wrong:
+                print(f"FAIL: acknowledged writes lost across a graceful "
+                      f"restart: {wrong}")
+                return 1
+            acknowledged.update(asyncio.run(drive_acked_puts(*address)))
+            process.send_signal(signal.SIGTERM)
+            code = process.wait(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+            process.wait()
+        if code != 0:
+            print(f"FAIL: {arguments[0]} exited {code} on SIGTERM, expected 0")
+            return 1
+        print(f"{arguments[0]}: SIGTERM -> stop() -> exit 0 with "
+              f"{len(acknowledged)} acknowledged addresses on disk")
+    return 0
+
+
 def main() -> int:
     base_dir = tempfile.mkdtemp(prefix="replication-smoke-")
-    command = [
-        sys.executable, "-m", "repro", "serve", "--small",
+    arguments = [
+        "serve", "--small",
         "--trace", os.path.join(base_dir, "primary-trace.jsonl"),
     ]
     for pair in service_overrides(base_dir):
-        command += ["--set", pair]
+        arguments += ["--set", pair]
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    primary = subprocess.Popen(
-        command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True, env=env,
-    )
+    primary, address = spawn(arguments, env)
     try:
-        assert primary.stdout is not None
-        banner = primary.stdout.readline()
-        match = BANNER.search(banner)
-        if not match:
-            print(f"FAIL: primary did not start: {banner!r}")
+        if address is None:
+            print("FAIL: primary did not start")
             return 1
-        host, port = match.group(1), int(match.group(2))
+        host, port = address
         print(f"primary up on {host}:{port} (pid {primary.pid})")
         status = asyncio.run(
             scenario(
@@ -216,6 +281,8 @@ def main() -> int:
         if primary.poll() is None:
             primary.kill()
         primary.wait()
+    if status == 0:
+        status = graceful_stop_drill(env)
     print("replication smoke: " + ("OK" if status == 0 else "FAILED"))
     return status
 

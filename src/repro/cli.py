@@ -42,7 +42,12 @@ Commands
     Validate JSONL event traces against the ``repro.obs`` schema
     (exit 1 on the first invalid file; used by CI).
 
-``demo``, ``mix``, ``serve`` and ``cluster`` accept two extra flags:
+``serve``, ``cluster``, ``worker`` and ``promote`` stop gracefully on
+SIGTERM/SIGINT: closing checkpoint sealed, backends synced and closed,
+worker processes shut down, exit code 0.
+
+``demo``, ``mix``, ``serve``, ``cluster`` and ``promote`` accept two
+extra flags:
 
 ``--set key=value`` (repeatable)
     Dotted-path config overrides applied via
@@ -223,19 +228,39 @@ def _cmd_mix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _service_config(args: argparse.Namespace, overrides: dict[str, object]):
+    """``--small`` + ``--set`` overrides → the service's config."""
+    from repro import SystemConfig
+    from repro.config import small_test_config
+
+    base = (
+        SystemConfig(oram=small_test_config(10, block_bytes=64))
+        if args.small
+        else SystemConfig()
+    )
+    return SystemConfig.from_overrides(overrides, base=base)
+
+
+def _serve(args: argparse.Namespace, build, label: str = "") -> int:
+    """Shared body of ``serve``/``cluster``/``worker``/``promote``.
+
+    ``build(tracer)`` runs inside the event loop and returns the
+    arguments of :func:`repro.serve.service.serve_until_signalled`: the
+    front end, its ``banner(host, port)`` and optionally an extra stop
+    condition.
+    """
     import asyncio
 
-    from repro import SystemConfig
-    from repro.serve.service import run_service
+    from repro.serve.service import serve_until_signalled
 
-    overrides = _parse_overrides(args.set)
-    base = SystemConfig(oram=_small_service_oram()) if args.small else SystemConfig()
-    config = SystemConfig.from_overrides(overrides, base=base)
-    tracer = _make_tracer(args.trace)
+    tracer = _make_tracer(args.trace, label)
+
+    async def run() -> None:
+        await serve_until_signalled(*build(tracer))
+
     try:
-        asyncio.run(run_service(config, tracer=tracer))
-    except KeyboardInterrupt:
+        asyncio.run(run())
+    except KeyboardInterrupt:  # before the signal handlers were in place
         print("interrupted; service stopped")
     finally:
         if tracer is not None:
@@ -243,34 +268,46 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _small_service_oram():
-    from repro.config import small_test_config
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.serve.service import OramService
 
-    return small_test_config(10, block_bytes=64)
+    config = _service_config(args, _parse_overrides(args.set))
+
+    def build(tracer):
+        return OramService(config, tracer=tracer), lambda host, port: (
+            f"serving oblivious KV store on {host}:{port} "
+            f"(backend={config.service.backend}, L={config.oram.levels})"
+        )
+
+    return _serve(args, build)
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro import SystemConfig
-    from repro.cluster import run_cluster
+    from repro.cluster import ClusterService, shard_identity
 
     overrides = _parse_overrides(args.set)
     if args.shards is not None:
         overrides.setdefault("cluster.shards", args.shards)
     if args.workers is not None:
         overrides.setdefault("cluster.workers", args.workers)
-    base = SystemConfig(oram=_small_service_oram()) if args.small else SystemConfig()
-    config = SystemConfig.from_overrides(overrides, base=base)
-    tracer = _make_tracer(args.trace)
-    try:
-        asyncio.run(run_cluster(config, tracer=tracer))
-    except KeyboardInterrupt:
-        print("interrupted; cluster stopped")
-    finally:
-        if tracer is not None:
-            tracer.close()
-    return 0
+    config = _service_config(args, overrides)
+    cluster = config.cluster
+    depths = sorted(
+        {
+            shard_identity(config, shard).config.oram.levels
+            for shard in range(cluster.shards)
+        }
+    )
+
+    def build(tracer):
+        return ClusterService(config, tracer=tracer), lambda host, port: (
+            f"serving sharded oblivious KV store on {host}:{port} "
+            f"(shards={cluster.shards}, dispatch={cluster.dispatch}, "
+            f"workers={cluster.workers}, backend={config.service.backend}, "
+            f"shard L={'/'.join(str(d) for d in depths)})"
+        )
+
+    return _serve(args, build)
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -279,13 +316,13 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     ``--config-json`` carries the supervisor's full configuration as a
     flattened dotted-key JSON object (``repro.config.flatten_overrides``),
     so the worker rebuilds byte-identical config through the same
-    validation path as every other source.
+    validation path as every other source. Besides signals, the worker
+    stops on the supervisor's ``shutdown`` command or when orphaned.
     """
-    import asyncio
     import json
 
     from repro import SystemConfig
-    from repro.cluster.worker import run_worker
+    from repro.cluster.worker import READY_BANNER, ShardWorkerService
 
     try:
         overrides = json.loads(args.config_json)
@@ -296,15 +333,24 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         print("--config-json must be a JSON object", file=sys.stderr)
         return 2
     config = SystemConfig.from_overrides(overrides)
-    tracer = _make_tracer(args.trace, f"shard{args.shard}")
-    try:
-        asyncio.run(run_worker(config, args.shard, tracer=tracer))
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if tracer is not None:
-            tracer.close()
-    return 0
+
+    def build(tracer):
+        service = ShardWorkerService(config, args.shard, tracer=tracer)
+        recovered = (
+            f" recovered_seq={service.recovery.checkpoint_seq}"
+            if service.recovery is not None
+            else ""
+        )
+
+        def banner(host: str, port: int) -> str:
+            return (
+                f"{READY_BANNER} shard={args.shard} port={port} "
+                f"host={host}{recovered}"
+            )
+
+        return service, banner, service.released
+
+    return _serve(args, build, label=f"shard{args.shard}")
 
 
 def _cmd_compact(args: argparse.Namespace) -> int:
@@ -370,48 +416,29 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def _cmd_promote(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro import SystemConfig
     from repro.errors import ReplicationError
     from repro.replica.recovery import promote_service
 
     overrides = _parse_overrides(args.set)
     overrides.setdefault("replica.enabled", "true")
     overrides.setdefault("replica.dir", args.dir)
-    base = SystemConfig(oram=_small_service_oram()) if args.small else SystemConfig()
-    config = SystemConfig.from_overrides(overrides, base=base)
-    tracer = _make_tracer(args.trace)
+    config = _service_config(args, overrides)
 
-    async def _run() -> None:
+    def build(tracer):
         service, report = promote_service(
             config, directory=args.dir, tracer=tracer
         )
-        host, port = await service.start()
-        print(report.describe())
-        print(
+        return service, lambda host, port: (
+            f"{report.describe()}\n"
             f"promoted primary serving oblivious KV store on {host}:{port} "
-            f"(backend={config.service.backend})",
-            flush=True,
+            f"(backend={config.service.backend})"
         )
-        try:
-            await service.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await service.stop()
 
     try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("interrupted; promoted service stopped")
+        return _serve(args, build)
     except ReplicationError as exc:
         print(f"promotion refused: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if tracer is not None:
-            tracer.close()
-    return 0
 
 
 def _cmd_validate_trace(args: argparse.Namespace) -> int:

@@ -18,6 +18,7 @@ each shard's sequential access pipeline does less work per request.
 from __future__ import annotations
 
 import dataclasses
+import os
 from typing import Tuple
 
 from repro.config import ClusterConfig, OramConfig, SystemConfig
@@ -80,52 +81,82 @@ def shard_levels(blocks: int, oram: OramConfig, cluster: ClusterConfig) -> int:
     return levels
 
 
-def shard_system_config(
-    config: SystemConfig, shard_id: int, partitioner: AddressPartitioner
-) -> SystemConfig:
+@dataclasses.dataclass(frozen=True)
+class ShardIdentity:
+    """Everything one shard derives from the cluster-level config."""
+
+    #: The shard's own :class:`SystemConfig` (see :func:`shard_identity`).
+    config: SystemConfig
+    #: Checkpoint-nonce salt separating shards that share one key.
+    salt: bytes
+
+
+def shard_identity(config: SystemConfig, shard_id: int) -> ShardIdentity:
     """Specialise the cluster-level system config for one shard.
 
-    The shard's ORAM is sized for its slice of the address space
-    (:func:`shard_levels`); the cluster-wide scheduling window is
-    divided across the shards (per-shard label queue of
-    ``ceil(M / K)``, so K shards together still hold ~M entries — with
-    the monolithic M per shard, striping a fixed client population
-    would dilute real entries among dummies K-fold and scheduling would
-    pick mostly dummies); the admission bound is likewise divided
-    (``max(1, capacity // K)`` per shard, so K shards together admit at
-    most ~the configured cluster-wide ``service.admission_capacity``
-    rather than K times it); and the RNG seed is offset by the shard id
-    so position-map labels and dummy choices are independent streams
-    across shards. All four derivations are public functions of the
-    config alone, so they reveal nothing about traffic.
+    The one place that knows how a shard derives its identity; the
+    lane builder, the worker process, recovery and the fleet's
+    admission window all call it. The shard's ORAM is sized for its
+    slice of the address space (:func:`shard_levels`); the cluster-wide
+    scheduling window is divided across the shards (per-shard label
+    queue of ``ceil(M / K)``, so K shards together still hold ~M
+    entries — with the monolithic M per shard, striping a fixed client
+    population would dilute real entries among dummies K-fold and
+    scheduling would pick mostly dummies); the admission bound is
+    likewise divided (``max(1, capacity // K)`` per shard, so K shards
+    together admit at most ~the configured cluster-wide
+    ``service.admission_capacity`` rather than K times it); the RNG
+    seed is offset by the shard id so position-map labels and dummy
+    choices are independent streams across shards; a file-backed shard
+    gets its own log (``<backend_path>.shard<k>``) so shards never
+    contend for the append handle, and a faulty shard its own fault
+    stream (``fault_seed + k``) so fault timing is not correlated
+    across shards; and each shard replicates independently into
+    ``<replica.dir>/shard<k>`` under a shard-derived checkpoint salt.
+    All of these are public functions of the config alone, so they
+    reveal nothing about traffic.
     """
-    blocks = partitioner.shard_capacity(shard_id)
-    oram = dataclasses.replace(
-        config.oram,
-        levels=shard_levels(blocks, config.oram, config.cluster),
-        num_blocks=blocks,
-    )
-    shards = partitioner.shards
-    scheduler = dataclasses.replace(
-        config.scheduler,
-        label_queue_size=max(
-            1, -(-config.scheduler.label_queue_size // shards)
+    shards = config.cluster.shards
+    blocks = AddressPartitioner(
+        config.oram.num_blocks, shards
+    ).shard_capacity(shard_id)
+    tag = f"shard{shard_id}"
+    service = config.service
+    replica = config.replica
+    return ShardIdentity(
+        config=config.replace(
+            oram=dataclasses.replace(
+                config.oram,
+                levels=shard_levels(blocks, config.oram, config.cluster),
+                num_blocks=blocks,
+            ),
+            scheduler=dataclasses.replace(
+                config.scheduler,
+                label_queue_size=max(
+                    1, -(-config.scheduler.label_queue_size // shards)
+                ),
+            ),
+            service=dataclasses.replace(
+                service,
+                admission_capacity=max(1, service.admission_capacity // shards),
+                fault_seed=service.fault_seed + shard_id,
+                backend_path=(
+                    f"{service.backend_path}.{tag}" if service.backend_path else ""
+                ),
+            ),
+            replica=dataclasses.replace(
+                replica,
+                dir=os.path.join(replica.dir, tag) if replica.dir else "",
+            ),
+            seed=config.seed + shard_id,
         ),
-    )
-    service = dataclasses.replace(
-        config.service,
-        admission_capacity=max(1, config.service.admission_capacity // shards),
-    )
-    return config.replace(
-        oram=oram,
-        scheduler=scheduler,
-        service=service,
-        seed=config.seed + shard_id,
+        salt=tag.encode("ascii"),
     )
 
 
 __all__ = [
     "AddressPartitioner",
     "shard_levels",
-    "shard_system_config",
+    "ShardIdentity",
+    "shard_identity",
 ]

@@ -1,11 +1,14 @@
-"""Shard workers and the oblivious cross-shard dispatcher.
+"""The oblivious cross-shard dispatcher.
 
-A :class:`ShardWorker` wraps one fully independent fork-path ORAM — its
-own tree, stash, position map, dummy-padded label queue and storage
-backend — sized for its slice of the address space
-(:func:`~repro.cluster.partition.shard_system_config`).
+Each shard is a fully independent fork-path ORAM — its own tree, stash,
+position map, dummy-padded label queue and storage backend — sized for
+its slice of the address space
+(:func:`~repro.cluster.partition.shard_identity`) and reached through a
+:class:`~repro.serve.lane.Lane`: an in-process
+:class:`~repro.serve.lane.EngineLane` (:func:`local_shard_lanes`) or a
+:class:`~repro.cluster.worker.WorkerHandle` onto a worker process.
 
-The :class:`ShardRouter` drives the workers on a **fixed,
+The :class:`ShardRouter` drives the lanes on a **fixed,
 data-independent dispatch schedule**: work proceeds in rounds, and
 every round visits every shard exactly once, in shard order, executing
 exactly one (possibly dummy) tree access per visit. A shard with no
@@ -21,163 +24,78 @@ Two dispatch policies share that schedule and differ only in wall-clock
 overlap (see :class:`~repro.config.ClusterConfig`): ``"rr"`` awaits
 each shard's access before starting the next (a strictly sequential
 interleaving, exactly reconstructible), ``"parallel"`` issues the whole
-round concurrently and barriers on round completion.
+round concurrently and barriers on round completion — over worker
+processes that is real parallelism, K engines on K cores.
+
+The router itself satisfies the lane surface (its turn is one round),
+so the front end's one turn loop drives a cluster exactly as it drives
+a single engine.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 from collections import deque
-from typing import Callable, Deque, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.oram.encryption import BucketCipher
 from repro.oram.memory import TraceRecorder
 from repro.replica.replicator import Replicator
-from repro.serve.backends import StorageBackend, make_backend
-from repro.serve.engine import ObliviousEngine, ServeRequest
+from repro.serve.backends import StorageBackend
+from repro.serve.engine import ServeRequest
+from repro.serve.lane import EngineLane, ShardLane
 
-from repro.cluster.partition import AddressPartitioner, shard_system_config
+from repro.cluster.partition import AddressPartitioner, shard_identity
 
 #: Most recent shard visits kept on the router (deque maxlen).
 VISIT_LOG_CAPACITY = 1 << 16
 
 
-def shard_replica_directory(base_dir: str, shard_id: int) -> str:
-    """Per-shard replica subdirectory (WAL + sealed checkpoints)."""
-    return os.path.join(base_dir, f"shard{shard_id}")
-
-
-def shard_replica_salt(shard_id: int) -> bytes:
-    """Checkpoint-nonce salt separating shards that share one key."""
-    return f"shard{shard_id}".encode("ascii")
-
-
-class ShardWorker:
-    """One shard: an oblivious engine plus its admission queue.
-
-    Requests arrive with their *shard-local* address (the router
-    translates before admission). The worker mirrors the single-engine
-    service's drain discipline — head-of-line hold when the label queue
-    is saturated, so per-session order survives sharding — but its
-    accesses are clocked by the router's dispatch schedule instead of
-    an owned loop.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        config: SystemConfig,
-        partitioner: AddressPartitioner,
-        backend: Optional[StorageBackend] = None,
-        cipher: Optional[BucketCipher] = None,
-        tracer: Optional[Tracer] = None,
-        clock: Optional[Callable[[], float]] = None,
-        trace: Optional[TraceRecorder] = None,
-        engine: Optional[ObliviousEngine] = None,
-    ) -> None:
-        self.shard_id = shard_id
-        self.config = shard_system_config(config, shard_id, partitioner)
-        if engine is not None:
-            # Adopt a prebuilt engine (worker restart hands over an
-            # engine already recovered from the shard's replica
-            # directory, replicator attached).
-            self.engine = engine
-            self.backend = engine.store.backend
-            self.replicator: Optional[Replicator] = engine.replicator
-            if clock is not None:
-                engine.clock = clock
-                engine.store._clock = clock
-        else:
-            self.backend = (
-                backend
-                if backend is not None
-                else make_backend(config.service, trace, shard_id=shard_id)
-            )
-            replica = self.config.replica
-            self.replicator = None
-            if replica.enabled:
-                # Each shard replicates independently: its own WAL +
-                # checkpoint subdirectory and a shard-derived checkpoint
-                # salt, mirroring how backend paths get a shard suffix.
-                self.replicator = Replicator(
-                    replica,
-                    directory=shard_replica_directory(replica.dir, shard_id),
-                    salt=shard_replica_salt(shard_id),
-                    tracer=tracer,
-                    clock=clock,
-                    shard_id=shard_id,
-                )
-            self.engine = ObliviousEngine(
-                self.config,
-                self.backend,
+def local_shard_lanes(
+    config: SystemConfig,
+    cipher: Optional[BucketCipher] = None,
+    tracer: Optional[Tracer] = None,
+    clock: Optional[Callable[[], float]] = None,
+    backends: Optional[Sequence[Optional[StorageBackend]]] = None,
+    traces: Optional[Sequence[Optional[TraceRecorder]]] = None,
+) -> List[EngineLane]:
+    """One in-process lane per shard, each under its own identity."""
+    shards = config.cluster.shards
+    if backends is not None and len(backends) != shards:
+        raise ConfigError(f"got {len(backends)} backends for {shards} shards")
+    if traces is not None and len(traces) != shards:
+        raise ConfigError(
+            f"got {len(traces)} trace recorders for {shards} shards"
+        )
+    lanes = []
+    for shard in range(shards):
+        identity = shard_identity(config, shard)
+        lanes.append(
+            EngineLane(
+                identity.config,
+                backend=backends[shard] if backends is not None else None,
                 cipher=cipher,
                 tracer=tracer,
                 clock=clock,
-                shard_id=shard_id,
-                replicator=self.replicator,
+                trace=traces[shard] if traces is not None else None,
+                shard_id=shard,
+                salt=identity.salt,
             )
-        self.engine.admit_hook = self._drain_ready
-        # The *shard* config's admission bound: shard_system_config
-        # divides the cluster-wide capacity across the K shards, so the
-        # cluster as a whole admits what the one knob promises (with
-        # the global bound here, K shards would admit K times it).
-        self._admission: "asyncio.Queue[ServeRequest]" = asyncio.Queue(
-            maxsize=self.config.service.admission_capacity
         )
-        #: Head-of-line request the engine had no room for yet.
-        self._held: Optional[ServeRequest] = None
-
-    async def admit(self, request: ServeRequest) -> None:
-        """Queue one shard-local request (blocks when the queue is
-        full — per-shard backpressure up to the session handler)."""
-        await self._admission.put(request)
-
-    def _drain_ready(self) -> None:
-        engine = self.engine
-        while True:
-            if self._held is not None:
-                request, self._held = self._held, None
-            else:
-                try:
-                    request = self._admission.get_nowait()
-                except asyncio.QueueEmpty:
-                    return
-            if not engine.submit(request):
-                self._held = request  # keep admission order intact
-                return
-
-    async def run_turn(self) -> None:
-        """This shard's slot in the dispatch round: drain admissions,
-        then exactly one (dummy-padded) tree access."""
-        self._drain_ready()
-        await self.engine.run_access()
-
-    def pending(self) -> int:
-        return (
-            self._admission.qsize()
-            + (1 if self._held is not None else 0)
-            + (1 if self.engine.has_pending_real() else 0)
-        )
-
-    def close(self) -> None:
-        self.engine.close()
+    return lanes
 
 
 class ShardRouter:
-    """The cluster's dispatcher: K workers on one fixed visit schedule."""
+    """The cluster's dispatcher: K lanes on one fixed visit schedule."""
 
     def __init__(
         self,
         config: SystemConfig,
-        cipher: Optional[BucketCipher] = None,
+        lanes: Sequence[ShardLane],
         tracer: Optional[Tracer] = None,
-        clock: Optional[Callable[[], float]] = None,
-        backends: Optional[Sequence[Optional[StorageBackend]]] = None,
-        traces: Optional[Sequence[Optional[TraceRecorder]]] = None,
     ) -> None:
         self.config = config
         cluster = config.cluster
@@ -187,29 +105,17 @@ class ShardRouter:
         self.partitioner = AddressPartitioner(
             config.oram.num_blocks, cluster.shards
         )
-        if backends is not None and len(backends) != cluster.shards:
+        if len(lanes) != cluster.shards:
             raise ConfigError(
-                f"got {len(backends)} backends for {cluster.shards} shards"
+                f"got {len(lanes)} lanes for {cluster.shards} shards"
             )
-        if traces is not None and len(traces) != cluster.shards:
-            raise ConfigError(
-                f"got {len(traces)} trace recorders for {cluster.shards} shards"
-            )
-        self.workers: List[ShardWorker] = [
-            ShardWorker(
-                shard,
-                config,
-                self.partitioner,
-                backend=backends[shard] if backends is not None else None,
-                cipher=cipher,
-                tracer=tracer,
-                clock=clock,
-                trace=traces[shard] if traces is not None else None,
-            )
-            for shard in range(cluster.shards)
-        ]
+        #: The lanes in shard order — ``handles`` is the same list under
+        #: the name callers of a process cluster use.
+        self.workers = self.handles = list(lanes)
         self.rounds = 0
-        #: Shard ids in executed-turn order — the public visit sequence
+        #: Turns an unavailable lane (worker mid-restart) did not run.
+        self.turn_failures = 0
+        #: Shard ids in visit order — the public visit sequence
         #: (bounded; only the most recent visits are kept).
         self.visit_log: Deque[int] = deque(maxlen=VISIT_LOG_CAPACITY)
 
@@ -226,6 +132,25 @@ class ShardRouter:
         request.addr = local
         await self.workers[shard].admit(request)
 
+    def drain(self) -> None:
+        for lane in self.workers:
+            lane.drain()
+
+    async def _visit(self, lane: ShardLane) -> None:
+        """One shard's turn: drain (again — requests may have been
+        admitted while earlier shards ran), then one access. An
+        unavailable lane (``ProtocolError``: a worker process
+        mid-restart) does not derail the round — the schedule is public
+        and fixed, not reactive, so the failure is counted and the
+        visit stands."""
+        lane.drain()
+        try:
+            await lane.run_turn()
+        except ProtocolError:
+            self.turn_failures += 1
+            if self._trace:
+                self.tracer.counters.inc("cluster.turn_failures")
+
     async def run_round(self) -> None:
         """One dispatch round: every shard, fixed order, one access each.
 
@@ -235,81 +160,82 @@ class ShardRouter:
         ``visit_log``/``rounds`` always describe the executed schedule
         (the error re-raises afterwards for the caller to handle).
         """
-        completed: List[int] = []
+        visited: List[int] = []
         error: Optional[BaseException] = None
         if self.dispatch == "rr":
-            for worker in self.workers:
+            for lane in self.workers:
                 try:
-                    await worker.run_turn()
+                    await self._visit(lane)
                 except Exception as exc:  # noqa: BLE001 — re-raised below
                     error = exc
                     break
-                completed.append(worker.shard_id)
+                visited.append(lane.shard_id)
         else:  # "parallel": same schedule, rounds overlap in wall time
             results = await asyncio.gather(
-                *(worker.run_turn() for worker in self.workers),
+                *(self._visit(lane) for lane in self.workers),
                 return_exceptions=True,
             )
-            for worker, result in zip(self.workers, results):
+            for lane, result in zip(self.workers, results):
                 if isinstance(result, BaseException):
                     if error is None:
                         error = result
                 else:
-                    completed.append(worker.shard_id)
-        self.visit_log.extend(completed)
+                    visited.append(lane.shard_id)
+        self.visit_log.extend(visited)
         self.rounds += 1
         if self._trace:
             self.tracer.counters.inc("cluster.rounds")
-            self.tracer.counters.inc("cluster.accesses", len(completed))
+            self.tracer.counters.inc("cluster.accesses", len(visited))
         if error is not None:
             raise error
 
-    def note_pace_wait(self, wait_ns: float) -> None:
-        """Credit one pacer sleep to every shard engine.
+    #: The lane surface's name for it: the router's turn is one round.
+    run_turn = run_round
 
-        The paced cluster loop sleeps once per dispatch round and the
-        round visits every shard, so the same wait covers all K
-        per-shard timelines — keeping them synchronized is precisely
-        the point of pacing at the round level.
+    def note_pace_wait(self, wait_ns: float) -> None:
+        """Credit one pacer sleep to every shard.
+
+        The paced loop sleeps once per dispatch round and the round
+        visits every shard, so the same wait covers all K per-shard
+        timelines — keeping them synchronized is precisely the point
+        of pacing at the round level.
         """
-        for worker in self.workers:
-            worker.engine.note_pace_wait(wait_ns)
+        for lane in self.workers:
+            lane.note_pace_wait(wait_ns)
 
     # --------------------------------------------------------------- queries
 
     def has_pending_real(self) -> bool:
-        return any(worker.pending() for worker in self.workers)
+        return any(lane.has_pending_real() for lane in self.workers)
 
     def replicator_for(self, shard_id: int) -> Optional[Replicator]:
-        """The WAL source of one shard (None when out of range or
-        replication is disabled)."""
+        """The WAL source of one shard (None when out of range,
+        replication is disabled, or the shard's replicator lives in
+        its worker process)."""
         if not 0 <= shard_id < len(self.workers):
             return None
         return self.workers[shard_id].replicator
 
     def flush_durability(self) -> None:
         """Seal due/gating checkpoints on every shard (idle moments)."""
-        for worker in self.workers:
-            worker.engine.flush_durability()
+        for lane in self.workers:
+            lane.flush_durability()
 
     def pending(self) -> int:
-        return sum(worker.pending() for worker in self.workers)
+        return sum(lane.pending() for lane in self.workers)
 
     def total_accesses(self) -> int:
-        return sum(worker.engine.accesses for worker in self.workers)
+        return sum(lane.accesses for lane in self.workers)
 
-    def completed_requests(self) -> int:
-        return sum(worker.engine.completed_requests for worker in self.workers)
+    async def stats(self) -> List[Dict[str, object]]:
+        """Per-shard health counters (health checks, benchmarks)."""
+        return list(
+            await asyncio.gather(*(lane.stats() for lane in self.workers))
+        )
 
     def close(self) -> None:
-        for worker in self.workers:
-            worker.close()
+        for lane in self.workers:
+            lane.close()
 
 
-__all__ = [
-    "ShardWorker",
-    "ShardRouter",
-    "VISIT_LOG_CAPACITY",
-    "shard_replica_directory",
-    "shard_replica_salt",
-]
+__all__ = ["ShardRouter", "local_shard_lanes", "VISIT_LOG_CAPACITY"]

@@ -5,9 +5,9 @@ horizontal sibling: the same TCP sessions, protocol and response
 plumbing (inherited from
 :class:`~repro.serve.service.ServiceFrontEnd`), but admitted requests
 are striped across K independent shard engines by the
-:class:`~repro.cluster.router.ShardRouter`, and the background work
-loop runs *dispatch rounds* — every shard, fixed order, one
-dummy-padded access each — instead of single-engine accesses.
+:class:`~repro.cluster.router.ShardRouter`, and the front end's turn
+loop drives the router, so every turn is a *dispatch round* — every
+shard, fixed order, one dummy-padded access each.
 
 Clients are unaffected: the wire protocol addresses the global block
 space, translation to (shard, local address) happens at admission, and
@@ -19,8 +19,7 @@ invisible at the storage boundary.
 
 from __future__ import annotations
 
-import asyncio
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError, ProtocolError
@@ -28,23 +27,22 @@ from repro.obs.tracer import Tracer
 from repro.oram.encryption import BucketCipher
 from repro.oram.memory import TraceRecorder
 from repro.serve.backends import StorageBackend
-from repro.serve.engine import ServeRequest
 from repro.serve.service import ServiceFrontEnd
 
-from repro.cluster.router import ShardRouter
-from repro.cluster.supervisor import ProcessShardRouter, WorkerFleet
+from repro.cluster.router import ShardRouter, local_shard_lanes
+from repro.cluster.supervisor import WorkerFleet
 
 
 class ClusterService(ServiceFrontEnd):
     """An oblivious key-value service sharded over K ORAM trees.
 
     ``cluster.workers`` selects where those trees live: ``"inline"``
-    builds the K engines in this process behind a
-    :class:`~repro.cluster.router.ShardRouter`; ``"process"`` spawns a
-    supervised worker fleet (one subprocess per shard) and dispatches
-    through a :class:`~repro.cluster.supervisor.ProcessShardRouter`.
-    The wire protocol, the admission translation and the fixed visit
-    schedule are identical either way.
+    builds the K engines in this process
+    (:func:`~repro.cluster.router.local_shard_lanes`); ``"process"``
+    spawns a supervised worker fleet (one subprocess per shard) whose
+    :class:`~repro.cluster.worker.WorkerHandle` objects are the lanes. The
+    router, the wire protocol, the admission translation and the fixed
+    visit schedule are the same either way.
     """
 
     def __init__(
@@ -58,7 +56,6 @@ class ClusterService(ServiceFrontEnd):
         super().__init__(config, tracer)
         self.cluster_config = self.config.cluster
         self.fleet: Optional[WorkerFleet] = None
-        self.router: Union[ShardRouter, ProcessShardRouter]
         if self.cluster_config.workers == "process":
             if backends is not None or traces is not None or cipher is not None:
                 raise ConfigError(
@@ -66,11 +63,9 @@ class ClusterService(ServiceFrontEnd):
                     "workers (they cannot cross a process boundary)"
                 )
             self.fleet = WorkerFleet(self.config, tracer=self.tracer)
-            self.router = ProcessShardRouter(
-                self.config, self.fleet, tracer=self.tracer
-            )
+            lanes = self.fleet.handles
         else:
-            self.router = ShardRouter(
+            lanes = local_shard_lanes(
                 self.config,
                 cipher=cipher,
                 tracer=self.tracer,
@@ -78,6 +73,8 @@ class ClusterService(ServiceFrontEnd):
                 backends=backends,
                 traces=traces,
             )
+        self.router = ShardRouter(self.config, lanes, tracer=self.tracer)
+        self.lane = self.router
 
     # ------------------------------------------------------------- lifecycle
 
@@ -98,17 +95,6 @@ class ClusterService(ServiceFrontEnd):
     @property
     def num_blocks(self) -> int:
         return self.router.partitioner.num_blocks
-
-    async def _admit(self, request: ServeRequest) -> None:
-        await self.router.admit(request)
-
-    def _shutdown(self) -> None:
-        # Final per-shard checkpoints: release deferred acknowledgments
-        # and persist each shard's closing client state. (In process
-        # mode the workers flush in their own stop path; the fleet is
-        # shut down after this, in :meth:`stop`.)
-        self.router.flush_durability()
-        self.router.close()
 
     def _replicator_for(self, message: dict):
         """Shards replicate independently: a standby names its shard in
@@ -135,111 +121,7 @@ class ClusterService(ServiceFrontEnd):
         return self.router.replicator_for(shard)
 
     async def _work_loop(self) -> None:
-        if self.pacer is not None:
-            await self._paced_loop()
-            return
-        service = self.service_config
-        router = self.router
-        pace_s = service.pace_ns / 1e9
-        while not (self._stopping and self._pending() == 0):
-            if router.has_pending_real() or service.nonstop:
-                await router.run_round()
-                if pace_s > 0:
-                    await asyncio.sleep(pace_s)
-                else:
-                    # One scheduling point per round even when flat
-                    # out, so session handlers keep making progress.
-                    await asyncio.sleep(0)
-            else:
-                # Idle: seal due checkpoints so no gated response waits
-                # longer than one quiet moment (mirrors OramService).
-                router.flush_durability()
-                self._wake.clear()
-                if self._pending():
-                    continue
-                if self._stopping:
-                    break
-                await self._wake.wait()
-
-    async def _paced_loop(self) -> None:
-        """Pacer-driven dispatch (``pace.mode != "off"``).
-
-        One dispatch round per pace slot: the pacer's deadline grid
-        clocks the whole cluster, so the K per-shard timelines advance
-        in lockstep on a traffic-independent schedule — a round with no
-        client work anywhere still visits every shard with a pure-dummy
-        access. The pacer sleep is credited to every shard engine
-        (inline) or shipped on the round's turn RPCs (process mode).
-        """
-        router = self.router
-        pacer = self.pacer
-        assert pacer is not None
-        while not (self._stopping and self._pending() == 0):
-            wait_ns = await pacer.wait_for_slot()
-            router.note_pace_wait(wait_ns)
-            depth = router.pending()
-            real = router.has_pending_real()
-            await router.run_round()
-            if not real:
-                # An all-dummy round is the paced cluster's idle
-                # moment: seal due/gating checkpoints on every shard.
-                router.flush_durability()
-            self._note_pace_slot(
-                wait_ns=wait_ns, real=real, queue_depth=depth
-            )
-
-    def _pending(self) -> int:
-        return self.router.pending()
+        await self._run_turns()
 
 
-async def run_cluster(config: SystemConfig, tracer: Optional[Tracer] = None) -> None:
-    """``python -m repro cluster`` body: serve until interrupted.
-
-    SIGTERM (and SIGINT) cancel the serve loop rather than killing the
-    process outright, so the fleet shutdown in :meth:`ClusterService.stop`
-    always runs — a terminated supervisor must never orphan its worker
-    processes.
-    """
-    import signal
-
-    from repro.cluster.partition import AddressPartitioner, shard_system_config
-
-    service = ClusterService(config, tracer=tracer)
-    host, port = await service.start()
-    partitioner = AddressPartitioner(
-        config.oram.num_blocks, config.cluster.shards
-    )
-    depths = sorted(
-        {
-            shard_system_config(config, shard, partitioner).oram.levels
-            for shard in range(config.cluster.shards)
-        }
-    )
-    print(
-        f"serving sharded oblivious KV store on {host}:{port} "
-        f"(shards={config.cluster.shards}, dispatch={config.cluster.dispatch}, "
-        f"workers={config.cluster.workers}, "
-        f"backend={config.service.backend}, "
-        f"shard L={'/'.join(str(d) for d in depths)})",
-        flush=True,
-    )
-    serving = asyncio.current_task()
-    loop = asyncio.get_running_loop()
-    handled = []
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, serving.cancel)
-        except NotImplementedError:  # pragma: no cover — non-POSIX loops
-            continue
-        handled.append(signum)
-    try:
-        await service.serve_forever()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        for signum in handled:
-            loop.remove_signal_handler(signum)
-        await service.stop()
-
-
-__all__ = ["ClusterService", "run_cluster"]
+__all__ = ["ClusterService"]

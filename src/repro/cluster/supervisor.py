@@ -1,9 +1,11 @@
-"""The worker fleet supervisor and the process-mode dispatcher.
+"""The worker fleet supervisor.
 
 ``cluster.workers = "process"`` splits the cluster into a supervisor
-process (the public TCP front end + :class:`ProcessShardRouter`) and K
-``repro worker`` subprocesses, one shard engine each. This module owns
-the fleet's lifecycle:
+process (the public TCP front end + the
+:class:`~repro.cluster.router.ShardRouter`) and K ``repro worker``
+subprocesses, one shard engine each; the router's lanes are the
+fleet's :class:`~repro.cluster.worker.WorkerHandle` objects. This
+module owns the fleet's lifecycle:
 
 * **spawn** — each worker is launched with the supervisor's exact
   configuration (:func:`repro.config.flatten_overrides` → one JSON
@@ -17,14 +19,10 @@ the fleet's lifecycle:
   through the promote/recover path, so a SIGKILL'd worker rejoins with
   every checkpoint-acknowledged write intact.
 
-The :class:`ProcessShardRouter` mirrors the inline
-:class:`~repro.cluster.router.ShardRouter`'s surface — same fixed
-round-robin dummy-padded visit schedule, same admission translation —
-but each visit is a ``turn`` RPC to the shard's worker. A crashed
-worker's turn fails *without* derailing the schedule: the failure is
-counted, the visit is still logged (the schedule is public and fixed,
-not reactive), and the supervisor's restart brings the shard back a few
-rounds later.
+A crashed worker's handle raises ``ProtocolError`` from its turn, which
+the router counts *without* derailing the schedule (the visit is still
+logged: the schedule is public and fixed, not reactive); the restart
+brings the shard back a few rounds later.
 """
 
 from __future__ import annotations
@@ -34,16 +32,13 @@ import json
 import os
 import re
 import sys
-from collections import deque
-from typing import Deque, List, Optional
+from typing import List, Optional
 
 from repro.config import SystemConfig, flatten_overrides
 from repro.errors import ProtocolError
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.serve.engine import ServeRequest
 
-from repro.cluster.partition import AddressPartitioner
-from repro.cluster.router import VISIT_LOG_CAPACITY
+from repro.cluster.partition import shard_identity
 from repro.cluster.worker import READY_BANNER, WorkerHandle
 
 #: ``SHARD_WORKER_READY shard=<k> port=<p> ...`` (host follows; the
@@ -149,7 +144,6 @@ class WorkerFleet:
             package_root + (os.pathsep + existing if existing else "")
         )
         self._env = env
-        capacity = max(1, config.service.admission_capacity // cluster.shards)
         self.processes: List[WorkerProcess] = [
             WorkerProcess(shard, self._overrides_json, env)
             for shard in range(cluster.shards)
@@ -158,7 +152,9 @@ class WorkerFleet:
             WorkerHandle(
                 shard,
                 cluster.worker_host,
-                capacity,
+                shard_identity(
+                    config, shard
+                ).config.service.admission_capacity,
                 config.service.max_frame_bytes,
             )
             for shard in range(cluster.shards)
@@ -234,123 +230,4 @@ class WorkerFleet:
             await handle.close_clients()
 
 
-class ProcessShardRouter:
-    """The cluster dispatcher speaking the wire protocol to the fleet.
-
-    Mirrors :class:`~repro.cluster.router.ShardRouter`: the same public
-    visit schedule (every round visits every shard once, fixed order,
-    one dummy-padded access each — executed by ``turn`` RPCs), the same
-    admission translation, the same query surface the service and
-    benchmarks use. Dispatch policies keep their meaning: ``"rr"``
-    serialises turn RPCs, ``"parallel"`` overlaps them — and in process
-    mode "parallel" finally is parallelism, K engines on K cores.
-    """
-
-    def __init__(
-        self,
-        config: SystemConfig,
-        fleet: WorkerFleet,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        self.config = config
-        self.fleet = fleet
-        cluster = config.cluster
-        self.dispatch = cluster.dispatch
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._trace = self.tracer.enabled
-        self.partitioner = AddressPartitioner(
-            config.oram.num_blocks, cluster.shards
-        )
-        self.rounds = 0
-        self.turn_failures = 0
-        #: Pacer sleep credited since the last dispatched round; the
-        #: next round's ``turn`` RPCs carry it to the worker engines.
-        self._pace_credit_ns = 0.0
-        #: Shard ids in dispatched-visit order. The schedule is fixed
-        #: and public, so a visit is logged even when the worker was
-        #: mid-restart and its turn RPC failed — the *intended* trace
-        #: the storage side sees never deviates from round robin.
-        self.visit_log: Deque[int] = deque(maxlen=VISIT_LOG_CAPACITY)
-
-    @property
-    def handles(self) -> List[WorkerHandle]:
-        return self.fleet.handles
-
-    # -------------------------------------------------------------- dispatch
-
-    async def admit(self, request: ServeRequest) -> None:
-        shard, local = self.partitioner.locate(request.addr)
-        request.addr = local
-        await self.handles[shard].admit(request)
-
-    async def _turn(self, handle: WorkerHandle, wait_ns: float = 0.0) -> bool:
-        try:
-            await handle.turn(wait_ns)
-        except ProtocolError:
-            self.turn_failures += 1
-            if self._trace:
-                self.tracer.counters.inc("cluster.turn_failures")
-            return False
-        return True
-
-    def note_pace_wait(self, wait_ns: float) -> None:
-        """Credit one pacer sleep; shipped with the next round's turn
-        RPCs so the worker engines account it as ``pace_wait_ns``."""
-        self._pace_credit_ns += wait_ns
-
-    async def run_round(self) -> None:
-        """One dispatch round over the worker fleet."""
-        wait_ns, self._pace_credit_ns = self._pace_credit_ns, 0.0
-        if self.dispatch == "rr":
-            for handle in self.handles:
-                await self._turn(handle, wait_ns)
-                self.visit_log.append(handle.shard_id)
-        else:  # "parallel": real parallelism — one engine per core
-            await asyncio.gather(
-                *(self._turn(handle, wait_ns) for handle in self.handles)
-            )
-            self.visit_log.extend(handle.shard_id for handle in self.handles)
-        self.rounds += 1
-        if self._trace:
-            self.tracer.counters.inc("cluster.rounds")
-            self.tracer.counters.inc("cluster.accesses", len(self.handles))
-
-    # --------------------------------------------------------------- queries
-
-    def has_pending_real(self) -> bool:
-        return any(handle.pending() for handle in self.handles)
-
-    def replicator_for(self, shard_id: int) -> None:
-        """Workers hold their replicators; the supervisor has none."""
-        del shard_id
-        return None
-
-    def flush_durability(self) -> None:
-        for handle in self.handles:
-            handle.schedule_flush()
-
-    def pending(self) -> int:
-        return sum(handle.pending() for handle in self.handles)
-
-    def total_accesses(self) -> int:
-        return sum(handle.accesses for handle in self.handles)
-
-    async def stats(self) -> List[dict]:
-        """One ``stats`` RPC per worker (health checks, benchmarks)."""
-        return list(
-            await asyncio.gather(
-                *(handle.control("stats") for handle in self.handles)
-            )
-        )
-
-    def close(self) -> None:
-        """Connections and processes are owned by the fleet; the
-        service closes them in its (async) stop path."""
-
-
-__all__ = [
-    "SPAWN_TIMEOUT_S",
-    "WorkerProcess",
-    "WorkerFleet",
-    "ProcessShardRouter",
-]
+__all__ = ["SPAWN_TIMEOUT_S", "WorkerProcess", "WorkerFleet"]

@@ -26,9 +26,9 @@ Workers are a private backplane, not a public endpoint: they bind
 announce it on stdout (:data:`READY_BANNER`) for the supervisor to
 parse. On startup with ``replica.enabled`` and a non-empty per-shard
 replica directory, the worker rebuilds its engine through
-:func:`repro.replica.recovery.recover_shard_engine` — the same
-point-in-time path a promoted standby uses — so a SIGKILL'd worker
-comes back with every acknowledged write intact.
+:func:`repro.replica.recovery.recover_engine` — the same point-in-time
+path a promoted standby uses — so a SIGKILL'd worker comes back with
+every acknowledged write intact.
 """
 
 from __future__ import annotations
@@ -36,20 +36,20 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import os
-import signal
 from typing import Dict, Optional, Set
 
 from repro.config import SystemConfig
 from repro.errors import ProtocolError
 from repro.obs.tracer import Tracer
 from repro.oram.memory import TraceRecorder
+from repro.replica.recovery import RecoveryReport, recover_engine
 from repro.replica.replicator import Replicator
 from repro.serve import protocol
-from repro.serve.engine import ObliviousEngine, ServeRequest
+from repro.serve.engine import ServeRequest
+from repro.serve.lane import EngineLane
 from repro.serve.service import ServiceFrontEnd
 
-from repro.cluster.partition import AddressPartitioner
-from repro.cluster.router import ShardWorker
+from repro.cluster.partition import shard_identity
 
 #: stdout handshake line: ``SHARD_WORKER_READY shard=<k> port=<p>``.
 READY_BANNER = "SHARD_WORKER_READY"
@@ -62,7 +62,8 @@ ORPHAN_POLL_S = 2.0
 
 
 class ShardWorkerService(ServiceFrontEnd):
-    """A single :class:`ShardWorker` served over the wire protocol.
+    """One shard's :class:`~repro.serve.lane.EngineLane` served over
+    the wire protocol.
 
     KV requests arrive with *shard-local* addresses (the router
     translates before forwarding) and flow through the inherited
@@ -70,6 +71,12 @@ class ShardWorkerService(ServiceFrontEnd):
     with ``turn`` control commands, so the fixed cross-shard visit
     schedule stays owned by the router even though the engines live in
     other processes.
+
+    Recovery-on-start: with replication enabled and a non-empty
+    per-shard replica directory, the engine is rebuilt from the newest
+    sealed checkpoint + WAL prefix — the supervisor restarting a
+    crashed worker gets back every acknowledged write (under
+    ``ack_mode="checkpoint"``) without any extra coordination.
     """
 
     def __init__(
@@ -77,8 +84,6 @@ class ShardWorkerService(ServiceFrontEnd):
         config: SystemConfig,
         shard_id: int,
         tracer: Optional[Tracer] = None,
-        engine: Optional[ObliviousEngine] = None,
-        trace: Optional[TraceRecorder] = None,
     ) -> None:
         bound = config.replace(
             service=dataclasses.replace(
@@ -87,46 +92,46 @@ class ShardWorkerService(ServiceFrontEnd):
         )
         super().__init__(bound, tracer)
         self.shard_id = shard_id
+        identity = shard_identity(bound, shard_id)
+        trace = TraceRecorder() if config.cluster.worker_record_trace else None
+        engine = None
+        #: What recovery-on-start restored (None = a fresh shard).
+        self.recovery: Optional[RecoveryReport] = None
+        replica = identity.config.replica
         if (
-            trace is None
-            and engine is None
-            and config.cluster.worker_record_trace
+            replica.enabled
+            and os.path.isdir(replica.dir)
+            and os.listdir(replica.dir)
         ):
-            trace = TraceRecorder()
-        partitioner = AddressPartitioner(
-            config.oram.num_blocks, config.cluster.shards
-        )
-        self.worker = ShardWorker(
-            shard_id,
-            bound,
-            partitioner,
+            engine, self.recovery = recover_engine(
+                identity.config,
+                trace=trace,
+                tracer=self.tracer,
+                clock=self._clock,
+                shard_id=shard_id,
+                salt=identity.salt,
+            )
+        self.lane = EngineLane(
+            identity.config,
             tracer=self.tracer,
             clock=self._clock,
             trace=trace,
             engine=engine,
+            shard_id=shard_id,
+            salt=identity.salt,
         )
         #: Serialises turns (and the shutdown drain) — one access at a
         #: time per shard, whatever the supervisor's session count.
         self._turn_lock = asyncio.Lock()
-        #: Set by the ``shutdown`` control op (or SIGTERM): the process
-        #: body stops serving once this fires.
+        #: Set by the ``shutdown`` control op: the process body stops
+        #: serving once this fires.
         self.done = asyncio.Event()
 
     # ----------------------------------------------------------------- hooks
 
     @property
     def num_blocks(self) -> int:
-        return self.worker.config.oram.num_blocks
-
-    async def _admit(self, request: ServeRequest) -> None:
-        await self.worker.admit(request)
-
-    def _pending(self) -> int:
-        return self.worker.pending()
-
-    def _shutdown(self) -> None:
-        self.worker.engine.flush_durability()
-        self.worker.close()
+        return self.lane.config.oram.num_blocks
 
     def _replicator_for(self, message: dict) -> Optional[Replicator]:
         shard = message.get("shard", self.shard_id)
@@ -134,12 +139,12 @@ class ShardWorkerService(ServiceFrontEnd):
             raise ProtocolError(
                 f"this worker serves shard {self.shard_id}, got {shard!r}"
             )
-        return self.worker.replicator
+        return self.lane.replicator
 
     async def _work_loop(self) -> None:
         # Accesses are clocked by the supervisor's ``turn`` commands —
         # the fixed cross-shard schedule lives in the router, so the
-        # worker owns no access loop. This task only parks until stop;
+        # worker owns no turn loop. This task only parks until stop;
         # the drain of still-admitted work happens in :meth:`stop`.
         while not self._stopping:
             self._wake.clear()
@@ -148,6 +153,17 @@ class ShardWorkerService(ServiceFrontEnd):
             await self._wake.wait()
 
     # --------------------------------------------------------------- control
+
+    async def _turn(self) -> None:
+        """This shard's slot: drain admissions, exactly one access."""
+        async with self._turn_lock:
+            self.lane.drain()
+            await self.lane.run_turn()
+            if self.lane.pending() == 0:
+                # The turn left this shard idle: seal due/gating
+                # checkpoints now so no ack waits for the cadence (the
+                # turn loop's idle flush, shard-side).
+                self.lane.flush_durability()
 
     async def _handle_control(self, message: dict) -> Optional[dict]:
         op = message.get("op")
@@ -164,37 +180,21 @@ class ShardWorkerService(ServiceFrontEnd):
                 # The supervisor's pacer slept this long before the
                 # round; credit it so queued requests carve it out of
                 # sched_wait as their pace_wait_ns phase.
-                self.worker.engine.note_pace_wait(float(wait_ns))
-            async with self._turn_lock:
-                await self.worker.run_turn()
-                if self.worker.pending() == 0:
-                    # The round left this shard idle: seal due/gating
-                    # checkpoints now so no ack waits for the cadence
-                    # (mirrors the inline work loop's idle flush).
-                    self.worker.engine.flush_durability()
+                self.lane.note_pace_wait(float(wait_ns))
+            await self._turn()
             return {
                 "id": client_id,
                 "ok": True,
-                "pending": self.worker.pending(),
-                "accesses": self.worker.engine.accesses,
+                "pending": self.lane.pending(),
+                "accesses": self.lane.accesses,
             }
         if op == "flush":
-            self.worker.engine.flush_durability()
+            self.lane.flush_durability()
             return {"id": client_id, "ok": True}
         if op == "ping":
             return {"id": client_id, "ok": True, "shard": self.shard_id}
         if op == "stats":
-            engine = self.worker.engine
-            return {
-                "id": client_id,
-                "ok": True,
-                "shard": self.shard_id,
-                "accesses": engine.accesses,
-                "completed_requests": engine.completed_requests,
-                "pending": self.worker.pending(),
-                "levels": self.worker.config.oram.levels,
-                "num_blocks": self.worker.config.oram.num_blocks,
-            }
+            return {"id": client_id, "ok": True, **await self.lane.stats()}
         if op == "verify":
             return self._verify_response(client_id)
         # "shutdown": acknowledge, then let the process body stop us —
@@ -214,14 +214,14 @@ class ShardWorkerService(ServiceFrontEnd):
         from repro.errors import ConfigError
         from repro.security.adversary import verify_trace_matches_labels
 
-        trace = getattr(self.worker.backend, "trace", None)
+        trace = getattr(self.lane.backend, "trace", None)
         if trace is None:
             return {
                 "id": client_id,
                 "ok": False,
                 "error": "tracing disabled (set cluster.worker_record_trace)",
             }
-        engine = self.worker.engine
+        engine = self.lane.engine
         leaves = [record[0] for record in engine.records]
         if not leaves:
             return {
@@ -258,88 +258,43 @@ class ShardWorkerService(ServiceFrontEnd):
         # which resolve only through turns — running the turns first
         # means every in-flight request is answered, not orphaned.
         self._stopping = True
-        while self.worker.pending():
-            async with self._turn_lock:
-                await self.worker.run_turn()
-        self.worker.engine.flush_durability()
+        while self.lane.pending():
+            await self._turn()
+        self.lane.flush_durability()
         await super().stop()
 
+    async def released(self) -> None:
+        """Return once this worker should stop serving: the supervisor
+        said ``shutdown``, or is gone.
 
-async def run_worker(
-    config: SystemConfig,
-    shard_id: int,
-    tracer: Optional[Tracer] = None,
-) -> None:
-    """``python -m repro worker`` body: serve one shard until told not to.
-
-    Recovery-on-start: with replication enabled and a non-empty
-    per-shard replica directory, the engine is rebuilt from the newest
-    sealed checkpoint + WAL prefix — the supervisor restarting a
-    crashed worker gets back every acknowledged write (under
-    ``ack_mode="checkpoint"``) without any extra coordination.
-    """
-    from repro.cluster.router import shard_replica_directory
-
-    if not 0 <= shard_id < config.cluster.shards:
-        raise ProtocolError(
-            f"shard must be in [0, {config.cluster.shards}), got {shard_id}"
-        )
-    trace = TraceRecorder() if config.cluster.worker_record_trace else None
-    engine = None
-    recovered = ""
-    if config.replica.enabled:
-        directory = shard_replica_directory(config.replica.dir, shard_id)
-        if os.path.isdir(directory) and os.listdir(directory):
-            from repro.replica.recovery import recover_shard_engine
-
-            engine, report = recover_shard_engine(
-                config, shard_id, trace=trace, tracer=tracer
-            )
-            recovered = f" recovered_seq={report.checkpoint_seq}"
-    service = ShardWorkerService(
-        config, shard_id, tracer=tracer, engine=engine, trace=trace
-    )
-    host, port = await service.start()
-    print(
-        f"{READY_BANNER} shard={shard_id} port={port} host={host}"
-        f"{recovered}",
-        flush=True,
-    )
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, service.done.set)
-        except NotImplementedError:  # pragma: no cover — non-POSIX loops
-            pass
-
-    async def orphan_watchdog() -> None:
-        # A SIGKILLed supervisor can never run the fleet shutdown; the
-        # worker notices the reparenting (ppid changes, typically to
-        # init) and exits on its own instead of lingering forever.
+        A SIGKILLed supervisor can never run the fleet shutdown; the
+        worker notices the reparenting (ppid changes, typically to
+        init) and exits on its own instead of lingering forever.
+        """
         parent = os.getppid()
-        while os.getppid() == parent:
-            await asyncio.sleep(ORPHAN_POLL_S)
-        service.done.set()
-
-    watchdog = asyncio.create_task(orphan_watchdog())
-    try:
-        await service.done.wait()
-    finally:
-        watchdog.cancel()
-        await service.stop()
+        while os.getppid() == parent and not self.done.is_set():
+            try:
+                await asyncio.wait_for(self.done.wait(), ORPHAN_POLL_S)
+            except asyncio.TimeoutError:
+                pass
 
 
 class WorkerHandle:
-    """The router's client half of one shard worker process.
+    """The remote lane: the router's client half of one shard worker
+    process.
 
     Wraps the two :class:`~repro.serve.protocol.FrameClient`
-    connections with shard semantics: :meth:`admit` forwards one
-    translated KV request and resolves its future when the response
-    arrives; :meth:`turn` runs the shard's slot in the dispatch round.
-    A per-handle semaphore sized to the shard's *divided* admission
-    capacity bounds requests in flight — the cluster-wide admission
-    bound holds even though TCP buffers would happily hold more.
+    connections with the :class:`~repro.serve.lane.ShardLane` surface:
+    :meth:`admit` forwards one translated KV request and resolves its
+    future when the response arrives; :meth:`run_turn` runs the shard's
+    slot in the dispatch round. A per-handle semaphore sized to the
+    shard's *divided* admission capacity bounds requests in flight —
+    the cluster-wide admission bound holds even though TCP buffers
+    would happily hold more.
     """
+
+    #: Workers hold their replicators; the supervisor has none.
+    replicator = None
 
     def __init__(
         self,
@@ -362,8 +317,11 @@ class WorkerHandle:
         #: The worker's own pending count from its last turn/stats
         #: response (admission queue + held + engine real work).
         self.reported_pending = 0
-        #: Engine access count from the last turn/stats response.
+        #: Engine access count from the last turn response.
         self.accesses = 0
+        #: Pacer sleep credited since the last turn; the next ``turn``
+        #: RPC carries it to the worker engine.
+        self._pace_credit_ns = 0.0
 
     @property
     def connected(self) -> bool:
@@ -461,13 +419,18 @@ class WorkerHandle:
 
     # -------------------------------------------------------------- control
 
-    async def turn(self, wait_ns: float = 0.0) -> Dict[str, object]:
+    def note_pace_wait(self, wait_ns: float) -> None:
+        self._pace_credit_ns += wait_ns
+
+    async def run_turn(self) -> None:
         """Run this shard's slot in the current dispatch round.
 
-        ``wait_ns`` > 0 ships the supervisor's pacer sleep so the
-        worker engine credits it before running the access (the
-        ``pace_wait_ns`` phase of queued requests).
+        Ships the pacer sleep credited since the last turn so the
+        worker engine accounts it before running the access (the
+        ``pace_wait_ns`` phase of queued requests). Raises
+        :class:`ProtocolError` while the worker is unavailable.
         """
+        wait_ns, self._pace_credit_ns = self._pace_credit_ns, 0.0
         if self._control is None or not self._control.connected:
             raise ProtocolError(
                 f"shard {self.shard_id} worker is unavailable"
@@ -482,7 +445,6 @@ class WorkerHandle:
             )
         self.reported_pending = int(response.get("pending", 0) or 0)
         self.accesses = int(response.get("accesses", 0) or 0)
-        return response
 
     async def control(self, op: str, **extra: object) -> Dict[str, object]:
         """One control RPC (``stats``/``flush``/``ping``/``verify``/…)."""
@@ -494,7 +456,10 @@ class WorkerHandle:
         message.update(extra)
         return await self._control.call(message)
 
-    def schedule_flush(self) -> None:
+    async def stats(self) -> Dict[str, object]:
+        return await self.control("stats")
+
+    def flush_durability(self) -> None:
         """Fire-and-forget durability flush (the idle-moment seal)."""
         if self._control is None or not self._control.connected:
             return
@@ -511,8 +476,21 @@ class WorkerHandle:
 
     # ------------------------------------------------------------------ misc
 
+    def drain(self) -> None:
+        """Nothing to do here: admissions are forwarded as they
+        arrive, and the worker drains them in its own turn."""
+
     def pending(self) -> int:
         return self.inflight + self.reported_pending
+
+    def has_pending_real(self) -> bool:
+        # A forwarded request may yet complete at the worker's submit,
+        # but that is not visible from here: anything unanswered counts.
+        return self.pending() > 0
+
+    def close(self) -> None:
+        """Connections and processes are owned by the fleet, which
+        closes them in its (async) stop path."""
 
     def fail_inflight(self) -> None:
         """Fail outstanding calls now (the worker process died)."""
@@ -537,5 +515,4 @@ __all__ = [
     "CONTROL_OPS",
     "ShardWorkerService",
     "WorkerHandle",
-    "run_worker",
 ]

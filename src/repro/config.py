@@ -523,14 +523,10 @@ class ServiceConfig:
         ORAM engine. When full, session handlers stop reading frames —
         backpressure propagates to clients through TCP flow control
         rather than requests being dropped.
-    nonstop:
-        Keep issuing (dummy-padded) ORAM accesses while no client work
-        is pending, so the backend-visible access *rate* leaks nothing
-        about client intensity. Off by default: tests and benchmarks
-        prefer the idle engine to sleep.
     pace_ns:
-        Minimum wall-clock gap between consecutive ORAM accesses
-        (0 = flat out). With ``nonstop`` this fixes the trace rate.
+        Minimum wall-clock gap between consecutive ORAM accesses of the
+        arrival-driven loop (0 = flat out). To keep issuing on idle
+        slots at a fixed rate, use ``pace.mode`` instead.
     retry_attempts / retry_base_ns / retry_max_ns:
         Exponential-backoff retry policy for backend operations:
         attempt ``k`` (1-based) sleeps ``min(retry_max_ns,
@@ -557,7 +553,6 @@ class ServiceConfig:
     compact_every_appends: int = 0
     admission_capacity: int = 128
     max_frame_bytes: int = 1 << 20
-    nonstop: bool = False
     pace_ns: float = 0.0
     retry_attempts: int = 8
     retry_base_ns: float = 1_000_000.0

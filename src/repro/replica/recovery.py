@@ -205,55 +205,6 @@ def recover_engine(
     return engine, report
 
 
-def recover_shard_engine(
-    config: SystemConfig,
-    shard_id: int,
-    *,
-    trace: Optional[TraceRecorder] = None,
-    tracer: Optional[Tracer] = None,
-    clock: Optional[Callable[[], float]] = None,
-) -> "tuple[ObliviousEngine, RecoveryReport]":
-    """Rebuild one cluster shard's engine from its replica subdirectory.
-
-    Applies the same per-shard derivations a running
-    :class:`~repro.cluster.router.ShardWorker` does — shard-sized
-    system config, ``<replica.dir>/shard<k>`` subdirectory,
-    shard-salted checkpoint stream, ``<backend_path>.shard<k>`` store —
-    then delegates to :func:`recover_engine`. This is the restart path
-    the cluster supervisor uses: a SIGKILL'd shard worker comes back
-    exactly as a promoted standby of that shard would, with every
-    checkpoint-acknowledged write intact. The imports are local to keep
-    ``repro.replica`` import-light for library users.
-    """
-    from repro.cluster.partition import AddressPartitioner, shard_system_config
-    from repro.cluster.router import (
-        shard_replica_directory,
-        shard_replica_salt,
-    )
-    from repro.serve.backends import shard_service_config
-
-    if not 0 <= shard_id < config.cluster.shards:
-        raise ConfigError(
-            f"no shard {shard_id} in a {config.cluster.shards}-shard cluster"
-        )
-    partitioner = AddressPartitioner(
-        config.oram.num_blocks, config.cluster.shards
-    )
-    shard_config = shard_system_config(config, shard_id, partitioner)
-    shard_config = shard_config.replace(
-        service=shard_service_config(shard_config.service, shard_id)
-    )
-    return recover_engine(
-        shard_config,
-        directory=shard_replica_directory(config.replica.dir, shard_id),
-        trace=trace,
-        tracer=tracer,
-        clock=clock,
-        shard_id=shard_id,
-        salt=shard_replica_salt(shard_id),
-    )
-
-
 def promote_service(
     config: SystemConfig,
     *,
@@ -293,6 +244,5 @@ def promote_service(
 __all__ = [
     "RecoveryReport",
     "recover_engine",
-    "recover_shard_engine",
     "promote_service",
 ]

@@ -3,9 +3,10 @@
 This package turns the batch Fork Path simulator into a live service:
 an asyncio TCP server (:mod:`~repro.serve.service`) speaking a
 length-prefixed JSON protocol (:mod:`~repro.serve.protocol`), feeding
-client GET/PUT/DELETE requests through the same dummy-padded label
-queue, fork-path merging and stash machinery as the simulator
-(:mod:`~repro.serve.engine`), over pluggable storage backends with
+client GET/PUT/DELETE requests through a lane
+(:mod:`~repro.serve.lane`: engine + bounded admission) into the same
+dummy-padded label queue, fork-path merging and stash machinery as the
+simulator (:mod:`~repro.serve.engine`), over pluggable storage backends with
 crash-safe persistence and deterministic fault injection
 (:mod:`~repro.serve.backends`). A concurrent load generator with a
 built-in coherence checker lives in :mod:`~repro.serve.loadgen`.
@@ -30,8 +31,9 @@ from repro.serve.engine import (
     RetryPolicy,
     ServeRequest,
 )
+from repro.serve.lane import EngineLane, Lane, ShardLane
 from repro.serve.loadgen import LoadgenResult, run_loadgen
-from repro.serve.service import OramService, run_service
+from repro.serve.service import OramService, serve_until_signalled
 
 __all__ = [
     "available_backends",
@@ -47,6 +49,9 @@ __all__ = [
     "ObliviousEngine",
     "LoadgenResult",
     "run_loadgen",
+    "Lane",
+    "ShardLane",
+    "EngineLane",
     "OramService",
-    "run_service",
+    "serve_until_signalled",
 ]

@@ -43,7 +43,6 @@ Three implementations:
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import os
 import random
 import struct
@@ -546,35 +545,18 @@ def register_backend(name: str, factory: BackendFactory) -> None:
     BACKEND_FACTORIES[name] = factory
 
 
-def shard_service_config(config: ServiceConfig, shard_id: int) -> ServiceConfig:
-    """Specialise a service config for one cluster shard.
-
-    A file-backed shard gets its own log (``<backend_path>.shard<k>``)
-    so shards never contend for the append handle, and a faulty shard
-    gets its own fault stream (``fault_seed + shard_id``) so fault
-    timing is not correlated across shards.
-    """
-    updates: Dict[str, object] = {"fault_seed": config.fault_seed + shard_id}
-    if config.backend_path:
-        updates["backend_path"] = f"{config.backend_path}.shard{shard_id}"
-    return dataclasses.replace(config, **updates)
-
-
 def make_backend(
-    config: ServiceConfig,
-    trace: Optional[TraceRecorder] = None,
-    shard_id: Optional[int] = None,
+    config: ServiceConfig, trace: Optional[TraceRecorder] = None
 ) -> StorageBackend:
     """Build the backend named by ``config.backend``.
 
-    ``shard_id`` builds a per-shard instance via
-    :func:`shard_service_config`. ``"faulty"`` wraps the in-memory
-    store with :class:`FaultPlan.from_config`; to fault-inject over a
-    file store, compose ``FaultyBackend(FileBackend(path), plan)``
-    directly.
+    ``"faulty"`` wraps the in-memory store with
+    :class:`FaultPlan.from_config`; to fault-inject over a file store,
+    compose ``FaultyBackend(FileBackend(path), plan)`` directly. A
+    cluster shard passes its own service config
+    (:func:`repro.cluster.partition.shard_identity`: own log path, own
+    fault stream).
     """
-    if shard_id is not None:
-        config = shard_service_config(config, shard_id)
     try:
         factory = BACKEND_FACTORIES[config.backend]
     except KeyError:
@@ -589,7 +571,6 @@ __all__: List[str] = [
     "available_backends",
     "BACKEND_FACTORIES",
     "register_backend",
-    "shard_service_config",
     "StorageBackend",
     "InMemoryBackend",
     "FileBackend",

@@ -1,31 +1,30 @@
-"""The asyncio front end: sessions, admission, backpressure.
+"""The asyncio front end: sessions, admission, the turn loop.
 
-:class:`ServiceFrontEnd` is the transport skeleton shared by the
-single-engine :class:`OramService` and the sharded
-:class:`repro.cluster.service.ClusterService`: one handler task per TCP
-connection speaking the length-prefixed JSON protocol of
-:mod:`repro.serve.protocol`, with subclass hooks for where an admitted
-request goes (``_admit``) and what the background work loop does
-(``_work_loop``).
+:class:`ServiceFrontEnd` is the skeleton shared by the single-engine
+:class:`OramService`, the sharded
+:class:`repro.cluster.service.ClusterService` and the shard worker
+process: one handler task per TCP connection speaking the
+length-prefixed JSON protocol of :mod:`repro.serve.protocol`, admitting
+requests into a :class:`~repro.serve.lane.Lane`, and the one turn loop
+that decides *when* that lane runs an access.
 
-:class:`OramService` glues three layers together:
+Three layers meet here:
 
-* **sessions** — the front end's per-connection handler tasks;
-* **admission** — a bounded :class:`asyncio.Queue` between sessions and
-  the engine. When it fills, handlers block in ``put()`` and stop
+* **sessions** — the per-connection handler tasks;
+* **admission** — the lane's bounded queue between sessions and the
+  engine. When it fills, handlers block in ``admit()`` and stop
   reading frames, so backpressure reaches clients through TCP flow
   control — no request is ever dropped, and the *engine-side* schedule
   stays dummy-padded regardless of offered load;
-* the **engine loop** — a single task draining admissions into
-  :meth:`~repro.serve.engine.ObliviousEngine.submit` and running tree
-  accesses while real work is pending (or unconditionally with
-  ``service.nonstop``, which makes the backend-visible access rate
-  independent of client intensity too).
+* the **turn loop** — a single task per front end: drain admissions,
+  decide whether the slot runs, run exactly one dummy-padded access per
+  engine, seal checkpoints on idle moments. It is arrival-driven
+  (:meth:`ServiceFrontEnd._arrival_loop`: an access runs while real
+  work is pending) or clock-driven (:meth:`ServiceFrontEnd._paced_loop`,
+  ``pace.mode != "off"``: one access per pace slot, dummy when idle).
 
-Ordering note: the drain preserves admission order. When the label
-queue is saturated, the head request is *held* (not re-queued) until an
-access frees a slot, so two requests from one client can never leapfrog
-each other on their way into the engine — together with the engine's
+Ordering note: the lane's drain preserves admission order (see
+:class:`~repro.serve.lane.EngineLane`) — together with the engine's
 per-address waiter chains this gives each client read-your-writes.
 """
 
@@ -33,8 +32,9 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import signal
 import time
-from typing import Dict, Optional, Set, Tuple
+from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from repro.config import SystemConfig
 from repro.errors import ProtocolError
@@ -51,24 +51,28 @@ from repro.oram.encryption import BucketCipher
 from repro.pace import Pacer
 from repro.replica.replicator import Replicator
 from repro.serve import protocol
-from repro.serve.backends import StorageBackend, make_backend
+from repro.serve.backends import StorageBackend
 from repro.serve.engine import ObliviousEngine, ServeRequest
+from repro.serve.lane import EngineLane, Lane
 
 
 class ServiceFrontEnd:
     """Session/transport skeleton of an oblivious key-value service.
 
-    Subclasses provide the storage side through four hooks:
+    Subclasses provide the storage side: they set :attr:`lane` (where
+    admitted requests go and what the turn loop drives) and implement
+    two hooks:
 
     * :attr:`num_blocks` — the logical address space bound used to
       validate incoming requests;
-    * :meth:`_admit` — take ownership of one validated request
-      (blocking here is the backpressure point);
-    * :meth:`_work_loop` — the background task draining admitted
-      requests into tree accesses until stop;
-    * :meth:`_shutdown` — release storage resources after the work
-      loop exits.
+    * :meth:`_work_loop` — the background task turning admitted
+      requests into tree accesses until stop (:meth:`_run_turns`,
+      unless something else clocks the lane).
     """
+
+    #: An :class:`~repro.serve.lane.EngineLane`, or a router over K
+    #: lanes — set by the subclass constructor.
+    lane: Lane
 
     def __init__(
         self,
@@ -81,20 +85,17 @@ class ServiceFrontEnd:
         self._trace = self.tracer.enabled
         start = time.perf_counter_ns()
         self._clock = lambda: float(time.perf_counter_ns() - start)
-        #: Deadline-chain clock of the fixed-temporal-distribution mode
-        #: (None = ``pace.mode="off"``, the arrival-driven loop).
-        self.pacer: Optional[Pacer] = (
-            Pacer(self.config.pace, clock=self._clock)
-            if self.config.pace.mode != "off"
-            else None
-        )
+        #: Deadline-grid clock of the fixed-temporal-distribution mode,
+        #: built by :meth:`_run_turns` (None under ``pace.mode="off"``
+        #: and in a front end whose turns are clocked elsewhere).
+        self.pacer: Optional[Pacer] = None
         self._wake = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
         self._work_task: Optional[asyncio.Task] = None
         self._session_tasks: Set[asyncio.Task] = set()
         self._session_ids = itertools.count(1)
         self._stopping = False
-        #: Requests handed to :meth:`_admit` and not yet answered, by
+        #: Requests handed to the lane and not yet answered, by
         #: ``request_id`` — what a dead work loop still owes a reply.
         self._owed: Dict[int, ServeRequest] = {}
         #: What killed the work loop (None while it runs or after a
@@ -110,21 +111,8 @@ class ServiceFrontEnd:
         """Logical address space size (requests validated against it)."""
         raise NotImplementedError
 
-    async def _admit(self, request: ServeRequest) -> None:
-        """Take ownership of a validated request (may block: this is
-        where backpressure reaches the session handler)."""
-        raise NotImplementedError
-
     async def _work_loop(self) -> None:
-        """Drain admitted requests into oblivious accesses until stop."""
-        raise NotImplementedError
-
-    def _pending(self) -> int:
-        """Admitted-but-unanswered work still owed to clients."""
-        raise NotImplementedError
-
-    def _shutdown(self) -> None:
-        """Release storage resources (engines, backends)."""
+        """Turn admitted requests into oblivious accesses until stop."""
         raise NotImplementedError
 
     def _replicator_for(
@@ -150,6 +138,72 @@ class ServiceFrontEnd:
         backplane commands."""
         del message
         return None
+
+    # ------------------------------------------------------------- turn loop
+
+    async def _run_turns(self) -> None:
+        """Drive :attr:`lane` until stop — the one place that decides
+        when an access runs, for one engine or a cluster of them."""
+        if self.config.pace.mode == "off":
+            await self._arrival_loop()
+        else:
+            self.pacer = Pacer(self.config.pace, clock=self._clock)
+            await self._paced_loop(self.pacer)
+
+    async def _arrival_loop(self) -> None:
+        """Arrival-driven turns: an access runs while real work is
+        pending, and the loop sleeps otherwise."""
+        lane = self.lane
+        pace_s = self.service_config.pace_ns / 1e9
+        while not (self._stopping and lane.pending() == 0):
+            lane.drain()
+            if lane.has_pending_real():
+                await lane.run_turn()
+                if pace_s > 0:
+                    await asyncio.sleep(pace_s)
+                else:
+                    # One scheduling point per turn even when flat
+                    # out, so session handlers keep making progress.
+                    await asyncio.sleep(0)
+            else:
+                # Idle: no real work queued. Seal a checkpoint first if
+                # acknowledgments are deferred, so no gated response can
+                # wait longer than one quiet moment.
+                lane.flush_durability()
+                self._wake.clear()
+                if lane.pending():
+                    continue
+                if self._stopping:
+                    break
+                await self._wake.wait()
+
+    async def _paced_loop(self, pacer: Pacer) -> None:
+        """Pacer-driven turns (``pace.mode != "off"``).
+
+        One turn per pace slot, forever: the pacer's deadline grid —
+        not request arrival — decides when the lane touches its
+        backend(s), and a slot with no client work queued runs as a
+        pure-dummy access of identical shape (for a cluster: a round
+        visiting every shard, so the K timelines advance in lockstep).
+        The lane is credited every pacer sleep so queued requests carve
+        the wait out of ``sched_wait_ns`` as their ``pace_wait_ns``
+        phase.
+        """
+        lane = self.lane
+        while not (self._stopping and lane.pending() == 0):
+            wait_ns = await pacer.wait_for_slot()
+            lane.note_pace_wait(wait_ns)
+            lane.drain()
+            depth = lane.pending()
+            real = lane.has_pending_real()
+            await lane.run_turn()
+            if not real:
+                # A pure-dummy slot is the paced service's idle moment:
+                # seal a checkpoint if acknowledgments are deferred.
+                lane.flush_durability()
+            self._note_pace_slot(
+                wait_ns=wait_ns, real=real, queue_depth=depth
+            )
 
     # ----------------------------------------------------------------- pacing
 
@@ -234,11 +288,15 @@ class ServiceFrontEnd:
             await asyncio.gather(*self._session_tasks, return_exceptions=True)
         self._wake.set()
         if self._work_task is not None:
-            # Re-raises what killed a dead work loop, before _shutdown:
-            # state abandoned mid-access must not be sealed as the
-            # closing checkpoint.
+            # Re-raises what killed a dead work loop, before the
+            # closing flush: state abandoned mid-access must not be
+            # sealed as the closing checkpoint.
             await self._work_task
-        self._shutdown()
+        # Final checkpoint(s): release any still-deferred
+        # acknowledgments and persist the closing client state for the
+        # next start.
+        self.lane.flush_durability()
+        self.lane.close()
 
     async def serve_forever(self) -> None:
         """Serve until cancelled; if the work loop dies, raise what
@@ -265,7 +323,7 @@ class ServiceFrontEnd:
         Nothing else resolves request futures, so on an exception every
         owed request is failed here with the error text, and every
         session is dropped once it has written those replies (one may
-        be blocked in :meth:`_admit` on a queue nobody drains any
+        be blocked in the lane's ``admit`` on a queue nobody drains any
         more). Connections opened afterwards are refused with the same
         text; :meth:`serve_forever` and :meth:`stop` raise the
         exception itself.
@@ -391,7 +449,7 @@ class ServiceFrontEnd:
                 self._owed[request.request_id] = request
                 # May block when the admission queue is full — the
                 # backpressure point: this handler stops reading.
-                await self._admit(request)
+                await self.lane.admit(request)
                 self._wake.set()
                 responder = asyncio.create_task(
                     self._respond(request, writer, write_lock)
@@ -538,158 +596,81 @@ class OramService(ServiceFrontEnd):
         engine: Optional[ObliviousEngine] = None,
     ) -> None:
         super().__init__(config, tracer)
-        service = self.service_config
-        if engine is not None:
-            # Adopt a prebuilt engine (failover promotion hands over an
-            # engine already restored from a checkpoint + WAL suffix).
-            self.engine = engine
-            self.backend = engine.store.backend
-            engine.clock = self._clock
-            engine.store._clock = self._clock
-        else:
-            self.backend = (
-                backend if backend is not None else make_backend(service)
-            )
-            replica = self.config.replica
-            replicator = (
-                Replicator(replica, tracer=self.tracer, clock=self._clock)
-                if replica.enabled
-                else None
-            )
-            self.engine = ObliviousEngine(
-                self.config,
-                self.backend,
-                cipher=cipher,
-                tracer=self.tracer,
-                clock=self._clock,
-                replicator=replicator,
-            )
-        self.engine.admit_hook = self._drain_ready
-        self._admission: "asyncio.Queue[ServeRequest]" = asyncio.Queue(
-            maxsize=service.admission_capacity
+        self.lane = EngineLane(
+            self.config,
+            backend=backend,
+            cipher=cipher,
+            tracer=self.tracer,
+            clock=self._clock,
+            engine=engine,
         )
-        #: Head-of-line request the engine had no room for yet.
-        self._held: Optional[ServeRequest] = None
-
-    # ----------------------------------------------------------------- hooks
+        self.engine = self.lane.engine
+        self.backend = self.lane.backend
+        self.engine.admit_hook = self._drain_ready
 
     @property
     def num_blocks(self) -> int:
         return self.engine.num_blocks
 
-    async def _admit(self, request: ServeRequest) -> None:
-        await self._admission.put(request)
-
-    def _shutdown(self) -> None:
-        # Final checkpoint: releases any still-deferred acknowledgments
-        # and persists the closing client state for the next start.
-        self.engine.flush_durability()
-        self.engine.close()
-
     def _replicator_for(self, message: dict) -> Optional[Replicator]:
         del message
         return self.engine.replicator
 
-    # ------------------------------------------------------------ engine loop
-
     def _drain_ready(self) -> None:
-        """Feed queued admissions into the engine until it refuses.
-
-        Also the engine's ``admit_hook``: called inside the access
-        window between serving and next-path selection, so a request
-        admitted here can be chosen as the very next path.
-        """
-        engine = self.engine
-        while True:
-            if self._held is not None:
-                request, self._held = self._held, None
-            else:
-                try:
-                    request = self._admission.get_nowait()
-                except asyncio.QueueEmpty:
-                    return
-            if not engine.submit(request):
-                self._held = request  # keep admission order intact
-                return
+        # The engine's admit_hook, kept on this class as the cost
+        # ledger's serve.service / serve.engine span boundary
+        # (benchmarks/ledger/probes.py:HOOKS resolves it by name).
+        self.lane.drain()
 
     async def _work_loop(self) -> None:
-        if self.pacer is not None:
-            await self._paced_loop()
-            return
-        service = self.service_config
-        pace_s = service.pace_ns / 1e9
-        while not (self._stopping and self._pending() == 0):
-            self._drain_ready()
-            if self.engine.has_pending_real() or service.nonstop:
-                await self.engine.run_access()
-                if pace_s > 0:
-                    await asyncio.sleep(pace_s)
-                else:
-                    # One scheduling point per access even when flat
-                    # out, so session handlers keep making progress.
-                    await asyncio.sleep(0)
-            else:
-                # Idle: no real work queued. Seal a checkpoint first if
-                # acknowledgments are deferred, so no gated response can
-                # wait longer than one quiet moment.
-                self.engine.flush_durability()
-                self._wake.clear()
-                if self._pending():
-                    continue
-                if self._stopping:
-                    break
-                await self._wake.wait()
-
-    async def _paced_loop(self) -> None:
-        """Pacer-driven turn loop (``pace.mode != "off"``).
-
-        One (real-or-dummy) tree access per pace slot, forever: the
-        pacer's deadline grid — not request arrival — decides when the
-        engine touches the backend, and a slot with no client work
-        queued runs as a pure-dummy access of identical shape. The
-        engine is credited every pacer sleep so queued requests carve
-        the wait out of ``sched_wait_ns`` as their ``pace_wait_ns``
-        phase.
-        """
-        engine = self.engine
-        pacer = self.pacer
-        assert pacer is not None
-        while not (self._stopping and self._pending() == 0):
-            wait_ns = await pacer.wait_for_slot()
-            engine.note_pace_wait(wait_ns)
-            self._drain_ready()
-            depth = self._pending()
-            real = engine.has_pending_real()
-            await engine.run_access()
-            if not real:
-                # A pure-dummy slot is the paced service's idle moment:
-                # seal a checkpoint if acknowledgments are deferred.
-                engine.flush_durability()
-            self._note_pace_slot(
-                wait_ns=wait_ns, real=real, queue_depth=depth
-            )
-
-    def _pending(self) -> int:
-        return (
-            self._admission.qsize()
-            + (1 if self._held is not None else 0)
-            + (1 if self.engine.has_pending_real() else 0)
-        )
+        await self._run_turns()
 
 
-async def run_service(config: SystemConfig, tracer: Optional[Tracer] = None) -> None:
-    """``python -m repro serve`` body: serve until interrupted."""
-    service = OramService(config, tracer=tracer)
+async def serve_until_signalled(
+    service: ServiceFrontEnd,
+    banner: Callable[[str, int], str],
+    until: Optional[Callable[[], Awaitable[None]]] = None,
+) -> None:
+    """Body of every serving command: start, print ``banner(host,
+    port)``, serve until signalled, stop.
+
+    SIGTERM and SIGINT cancel the serving task rather than killing the
+    process outright, so :meth:`ServiceFrontEnd.stop` always runs —
+    the closing checkpoint is sealed, backends are synced and closed,
+    and a cluster supervisor never orphans its worker processes.
+    ``until`` is an optional extra stop condition: serving also ends
+    when the coroutine it returns completes (a shard worker's shutdown
+    command / orphan watchdog).
+    """
     host, port = await service.start()
-    print(f"serving oblivious KV store on {host}:{port} "
-          f"(backend={config.service.backend}, L={config.oram.levels})",
-          flush=True)
+    print(banner(host, port), flush=True)
+    serving = asyncio.current_task()
+    assert serving is not None
+    loop = asyncio.get_running_loop()
+    handled = []
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            loop.add_signal_handler(signum, serving.cancel)
+        except NotImplementedError:  # pragma: no cover — non-POSIX loops
+            continue
+        handled.append(signum)
+
+    async def watch() -> None:
+        assert until is not None
+        await until()
+        serving.cancel()
+
+    watcher = asyncio.create_task(watch()) if until is not None else None
     try:
         await service.serve_forever()
     except asyncio.CancelledError:
         pass
     finally:
+        if watcher is not None:
+            watcher.cancel()
+        for signum in handled:
+            loop.remove_signal_handler(signum)
         await service.stop()
 
 
-__all__ = ["ServiceFrontEnd", "OramService", "run_service"]
+__all__ = ["ServiceFrontEnd", "OramService", "serve_until_signalled"]

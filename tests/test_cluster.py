@@ -44,8 +44,9 @@ from repro.cluster import (
     AddressPartitioner,
     ClusterService,
     ShardRouter,
+    local_shard_lanes,
+    shard_identity,
     shard_levels,
-    shard_system_config,
 )
 from repro.errors import ConfigError
 from repro.obs.events import ServiceCompleted
@@ -76,7 +77,6 @@ from repro.serve.backends import (
     available_backends,
     make_backend,
     register_backend,
-    shard_service_config,
 )
 from repro.serve.engine import ObliviousEngine, ServeRequest
 from repro.serve.loadgen import run_loadgen
@@ -163,7 +163,7 @@ class TestShardConfig:
     def test_shard_system_config_derivations_are_public(self):
         config = cluster_system(levels=8, shards=4, queue=10)
         part = AddressPartitioner(config.oram.num_blocks, 4)
-        shard3 = shard_system_config(config, 3, part)
+        shard3 = shard_identity(config, 3).config
         assert shard3.oram.num_blocks == part.shard_capacity(3)
         assert shard3.oram.levels < config.oram.levels
         # The cluster-wide window is split ceil(M / K) per shard so
@@ -173,8 +173,55 @@ class TestShardConfig:
         # Per-shard queues never collapse below one entry.
         tiny = cluster_system(levels=8, shards=4, queue=2)
         assert (
-            shard_system_config(tiny, 1, part).scheduler.label_queue_size == 1
+            shard_identity(tiny, 1).config.scheduler.label_queue_size == 1
         )
+
+    def test_shard_identity_is_the_documented_derivation(self, tmp_path):
+        """Every per-shard value, spelled out: these are on-disk names
+        and RNG streams, so they must never drift."""
+        config = SystemConfig.from_overrides(
+            {
+                "cluster.shards": 3,
+                "oram.levels": 9,
+                "oram.num_blocks": 1000,
+                "scheduler.label_queue_size": 10,
+                "service.backend": "file",
+                "service.backend_path": str(tmp_path / "kv.log"),
+                "service.admission_capacity": 32,
+                "service.fault_seed": 9,
+                "replica.enabled": True,
+                "replica.dir": str(tmp_path / "replica"),
+                "seed": 40,
+            }
+        )
+        for shard, blocks in enumerate((334, 333, 333)):
+            identity = shard_identity(config, shard)
+            derived = identity.config
+            assert identity.salt == f"shard{shard}".encode("ascii")
+            assert derived.oram.num_blocks == blocks
+            assert derived.oram.levels == 7
+            assert derived.scheduler.label_queue_size == 4
+            assert derived.service.admission_capacity == 10
+            assert derived.service.fault_seed == 9 + shard
+            assert derived.service.backend_path == str(
+                tmp_path / f"kv.log.shard{shard}"
+            )
+            assert derived.replica.dir == str(tmp_path / "replica" / f"shard{shard}")
+            assert derived.seed == 40 + shard
+            # Everything else is the cluster's config, untouched.
+            assert derived.replace(
+                oram=config.oram,
+                scheduler=config.scheduler,
+                service=config.service,
+                replica=config.replica,
+                seed=config.seed,
+            ) == config
+        # Nothing to derive from an unset path or directory.
+        plain = shard_identity(cluster_system(shards=4), 2).config
+        assert plain.service.backend_path == ""
+        assert plain.replica.dir == ""
+        with pytest.raises(ConfigError):
+            shard_identity(config, 3)
 
     def test_cluster_config_validation(self):
         with pytest.raises(ConfigError):
@@ -276,9 +323,11 @@ class TestClusterService:
     def test_router_rejects_mismatched_backend_and_trace_lists(self):
         config = cluster_system(shards=4)
         with pytest.raises(ConfigError):
-            ShardRouter(config, backends=[InMemoryBackend()])
+            local_shard_lanes(config, backends=[InMemoryBackend()])
         with pytest.raises(ConfigError):
-            ShardRouter(config, traces=[None, None])
+            local_shard_lanes(config, traces=[None, None])
+        with pytest.raises(ConfigError):
+            ShardRouter(config, [])
 
 
 # ------------------------------------------------------------- observability
@@ -451,15 +500,18 @@ class TestBackendRegistry:
             ServiceConfig(backend="null-test")
 
     def test_shard_service_config_splits_paths_and_fault_streams(self, tmp_path):
-        base = ServiceConfig(
-            backend="file", backend_path=str(tmp_path / "kv.log"), fault_seed=9
+        base = cluster_system(
+            shards=3,
+            backend="file",
+            backend_path=str(tmp_path / "kv.log"),
+            fault_seed=9,
         )
-        shard2 = shard_service_config(base, 2)
+        shard2 = shard_identity(base, 2).config.service
         assert shard2.backend_path == str(tmp_path / "kv.log.shard2")
         assert shard2.fault_seed == 11
         # Sharded file backends land in distinct logs.
-        b0 = make_backend(base, shard_id=0)
-        b1 = make_backend(base, shard_id=1)
+        b0 = make_backend(shard_identity(base, 0).config.service)
+        b1 = make_backend(shard_identity(base, 1).config.service)
         try:
             b0[1] = b"zero"
             b1[1] = b"one"

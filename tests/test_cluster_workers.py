@@ -2,10 +2,10 @@
 
 Covers this change set's acceptance criteria:
 
-* the cluster-wide admission bound: ``shard_system_config`` divides
-  ``service.admission_capacity`` across the shards (floor 1), and the
-  inline :class:`ShardWorker` builds its queue from the *shard* config
-  — a K-shard cluster admits the configured bound, not K times it;
+* the cluster-wide admission bound: ``shard_identity`` divides
+  ``service.admission_capacity`` across the shards (floor 1), and each
+  in-process lane builds its queue from the *shard* config — a K-shard
+  cluster admits the configured bound, not K times it;
 * ``ShardRouter.run_round`` exception accounting: a shard's failure no
   longer erases the public record of the shards that completed their
   access (visits logged, round counted, error re-raised);
@@ -41,11 +41,11 @@ from repro.config import (
     small_test_config,
 )
 from repro.cluster import (
-    AddressPartitioner,
     ClusterService,
     ShardRouter,
     ShardWorkerService,
-    shard_system_config,
+    local_shard_lanes,
+    shard_identity,
 )
 from repro.errors import ConfigError, ProtocolError
 from repro.security import verify_shard_balance, verify_visit_schedule
@@ -102,22 +102,26 @@ def process_cluster_config(
     return SystemConfig.from_overrides(overrides)
 
 
+def local_router(config: SystemConfig) -> ShardRouter:
+    """The one router over in-process lanes (what ``ClusterService``
+    builds for ``cluster.workers = "inline"``)."""
+    return ShardRouter(config, local_shard_lanes(config))
+
+
 # -------------------------------------------------------- admission division
 
 
 class TestAdmissionDivision:
     def test_shard_config_divides_admission_capacity(self):
         config = cluster_system(shards=4, admission_capacity=32)
-        part = AddressPartitioner(config.oram.num_blocks, 4)
         for shard in range(4):
-            derived = shard_system_config(config, shard, part)
+            derived = shard_identity(config, shard).config
             assert derived.service.admission_capacity == 8
 
     def test_division_floors_at_one(self):
         config = cluster_system(shards=8, admission_capacity=3)
-        part = AddressPartitioner(config.oram.num_blocks, 8)
         for shard in range(8):
-            derived = shard_system_config(config, shard, part)
+            derived = shard_identity(config, shard).config
             assert derived.service.admission_capacity == 1
 
     def test_cluster_total_does_not_exceed_configured_bound(self):
@@ -126,7 +130,7 @@ class TestAdmissionDivision:
 
         async def run() -> None:
             config = cluster_system(shards=4, admission_capacity=8)
-            router = ShardRouter(config)
+            router = local_router(config)
             try:
                 total = sum(
                     worker._admission.maxsize for worker in router.workers
@@ -149,7 +153,7 @@ class _Boom(RuntimeError):
 
 def _router_with_failing_shard(dispatch: str, failing: int) -> ShardRouter:
     config = cluster_system(shards=3, dispatch=dispatch)
-    router = ShardRouter(config)
+    router = local_router(config)
 
     async def explode() -> None:
         raise _Boom(f"shard {failing} backend died")
@@ -189,10 +193,35 @@ class TestRunRoundAccounting:
 
         asyncio.run(run())
 
+    @pytest.mark.parametrize("dispatch", ["rr", "parallel"])
+    def test_unavailable_lane_is_counted_and_the_round_completes(self, dispatch):
+        """A lane raising ``ProtocolError`` (a worker mid-restart) is
+        unavailable, not fatal: the fixed schedule is public, so the
+        visit stands, the failure is counted and later shards run."""
+
+        async def run() -> None:
+            router = local_router(cluster_system(shards=3, dispatch=dispatch))
+
+            async def unavailable() -> None:
+                raise ProtocolError("shard 1 worker is unavailable")
+
+            router.workers[1].run_turn = unavailable  # type: ignore[method-assign]
+            try:
+                await router.run_round()
+                await router.run_round()
+                assert router.turn_failures == 2
+                verify_visit_schedule(list(router.visit_log), 3)
+                assert router.rounds == 2
+                assert [lane.accesses for lane in router.workers] == [2, 0, 2]
+            finally:
+                router.close()
+
+        asyncio.run(run())
+
     def test_healthy_round_logs_full_schedule(self):
         async def run() -> None:
             config = cluster_system(shards=3, dispatch="parallel")
-            router = ShardRouter(config)
+            router = local_router(config)
             try:
                 for _ in range(4):
                     await router.run_round()
@@ -404,7 +433,7 @@ class TestShardWorkerControl:
             client = protocol.FrameClient(host, port)
             await client.connect()
             try:
-                capacity = service.worker.config.oram.num_blocks
+                capacity = service.lane.config.oram.num_blocks
                 response = await client.call(
                     {"op": "get", "addr": capacity + 5}
                 )

@@ -972,6 +972,14 @@ class TestCli:
         with pytest.raises(ConfigError):
             ServiceConfig(backend="cloud")
 
+    def test_service_nonstop_is_gone(self):
+        """``pace.mode`` is the way to keep issuing on idle slots; the
+        simulator's top-level ``nonstop`` is a different knob."""
+        with pytest.raises(ConfigError, match="unknown config key"):
+            SystemConfig.from_overrides({"service.nonstop": "true"})
+        assert not hasattr(ServiceConfig(), "nonstop")
+        assert SystemConfig.from_overrides({"nonstop": "false"}).nonstop is False
+
 
 # -------------------------------------------------------------------- pacing
 
