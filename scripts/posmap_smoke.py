@@ -1,15 +1,21 @@
 """Recursive position-map smoke test: chains, crash, lose nothing.
 
-End-to-end drill of the ``repro.posmap`` guarantees, in two acts:
+End-to-end drill of the ``repro.posmap`` guarantees, in three acts:
 
 1. **Chain trace verification, in process.** Run a recursive-mode
    engine over a recording backend and assert the whole bus trace —
    posmap-level paths and data fork paths interleaved — equals the
    deterministic reconstruction from the public per-slot label tuples
-   (:func:`repro.security.verify_chain_trace`), and that a tampered
+   (:func:`repro.security.verify_engine_trace`), and that a tampered
    trace is rejected.
 
-2. **SIGKILL failover, across processes.** Start a primary service
+2. **Chain trace verification, in worker processes.** Start a 2-shard
+   cluster whose shard engines run in ``repro worker`` subprocesses in
+   recursive mode, drive a loadgen burst through it, and have each
+   worker answer the ``verify`` control op ``ok:true`` about its own
+   recorded trace.
+
+3. **SIGKILL failover, across processes.** Start a primary service
    subprocess with ``posmap.mode=recursive`` and checkpoint-gated
    acknowledgments, drive acknowledged puts through real sockets,
    **SIGKILL** it mid-run, promote the replica directory, and assert
@@ -49,13 +55,12 @@ from repro.config import (  # noqa: E402
 )
 from repro.errors import ConfigError  # noqa: E402
 from repro.obs.schema import validate_lines  # noqa: E402
+from repro.cluster import ClusterService  # noqa: E402
 from repro.oram.memory import TraceRecorder  # noqa: E402
-from repro.posmap import plan_layout  # noqa: E402
 from repro.replica.recovery import recover_engine  # noqa: E402
 from repro.security import (  # noqa: E402
-    engine_chain_slots,
-    verify_chain_replication_stream,
-    verify_chain_trace,
+    verify_engine_trace,
+    verify_replication_stream,
 )
 from repro.serve import protocol  # noqa: E402
 from repro.serve.backends import InMemoryBackend  # noqa: E402
@@ -107,7 +112,6 @@ async def chain_trace_act() -> int:
     )
     recorder = TraceRecorder()
     engine = ObliviousEngine(config, backend=InMemoryBackend(trace=recorder))
-    layout = plan_layout(config.oram, config.posmap, engine.geometry)
     rng = random.Random(17)
     for index in range(60):
         addr = rng.randrange(min(engine.num_blocks, 500))
@@ -116,24 +120,61 @@ async def chain_trace_act() -> int:
                                              value=f"v{index}"))
         else:
             await drive(engine, ServeRequest(op="get", addr=addr))
-    slots = engine_chain_slots(engine)
-    verify_chain_trace(layout, engine.geometry, recorder.events, slots,
-                       merging=config.scheduler.enable_merging)
-    print(f"chain trace: {len(slots)} slots / {len(recorder.events)} bus "
+    slots = verify_engine_trace(engine, recorder.events)
+    print(f"chain trace: {slots} slots / {len(recorder.events)} bus "
           f"events match the public reconstruction (posmap depth "
-          f"{layout.depth})")
+          f"{engine.posmap.depth})")
     tampered = list(recorder.events)
     tampered[len(tampered) // 2], tampered[len(tampered) // 2 + 1] = (
         tampered[len(tampered) // 2 + 1], tampered[len(tampered) // 2])
     try:
-        verify_chain_trace(layout, engine.geometry, tampered, slots,
-                           merging=config.scheduler.enable_merging)
+        verify_engine_trace(engine, tampered)
     except ConfigError:
         print("chain trace: tampered event order rejected")
     else:
         print("FAIL: tampered trace accepted by the chain verifier")
         return 1
     engine.close()
+    return 0
+
+
+async def worker_verify_act() -> int:
+    """Act 2: recursive-mode worker processes verify their own traces."""
+    config = SystemConfig.from_overrides(
+        {
+            "cluster.shards": 2,
+            "cluster.workers": "process",
+            "cluster.worker_record_trace": True,
+            "posmap.mode": "recursive",
+            "posmap.client_budget_bytes": 128,
+            "oram.levels": 8,
+            "oram.num_blocks": 400,
+            "oram.block_bytes": 64,
+            "scheduler.label_queue_size": 16,
+            "cache.policy": "none",
+            "nonstop": False,
+        }
+    )
+    service = ClusterService(config)
+    host, port = await service.start()
+    try:
+        load = await run_loadgen(
+            host, port, clients=4, requests=20,
+            num_blocks=service.num_blocks, seed=13,
+        )
+        if load.lost or load.failed or load.mismatches:
+            print(f"FAIL: worker loadgen unhealthy: lost={load.lost} "
+                  f"failed={load.failed} mismatches={load.mismatches}")
+            return 1
+        for shard, handle in enumerate(service.fleet.handles):
+            answer = await handle.control("verify")
+            if not answer.get("ok") or not answer.get("verified_accesses"):
+                print(f"FAIL: worker {shard} verify: {answer}")
+                return 1
+            print(f"worker {shard}: {answer['verified_accesses']} recursive-"
+                  f"mode slots verified inside the worker process")
+    finally:
+        await service.stop()
     return 0
 
 
@@ -163,7 +204,7 @@ async def drive_acked_puts(host: str, port: int) -> dict:
 
 
 async def failover_act(base_dir: str, host: str, port: int, kill) -> int:
-    """Act 2: SIGKILL the recursive-mode primary, promote, lose nothing."""
+    """Act 3: SIGKILL the recursive-mode primary, promote, lose nothing."""
     config = primary_config(base_dir)
 
     load = await run_loadgen(
@@ -199,17 +240,16 @@ async def failover_act(base_dir: str, host: str, port: int, kill) -> int:
     if lost:
         print(f"FAIL: acknowledged writes lost across failover: {lost}")
         return 1
-    layout = plan_layout(config.oram, config.posmap, engine.geometry)
-    verify_chain_replication_stream(
-        layout,
+    verify_replication_stream(
         engine.geometry,
         list(engine.replicator.wal.read_from(1)),
         merging=config.scheduler.enable_merging,
         backend=engine.store.backend,
+        layout=engine.posmap.layout,
     )
     engine.close()
     print(f"all {len(acknowledged)} acknowledged writes survived the "
-          f"SIGKILL (posmap depth {layout.depth}); WAL passes the "
+          f"SIGKILL (posmap depth {engine.posmap.depth}); WAL passes the "
           f"chain-aware verifier")
 
     trace_path = os.path.join(base_dir, "primary-trace.jsonl")
@@ -237,7 +277,7 @@ async def failover_act(base_dir: str, host: str, port: int, kill) -> int:
 
 
 def main() -> int:
-    status = asyncio.run(chain_trace_act())
+    status = asyncio.run(chain_trace_act()) or asyncio.run(worker_verify_act())
     if status != 0:
         print("posmap smoke: FAILED")
         return status

@@ -45,7 +45,7 @@ from repro.config import (  # noqa: E402
 from repro.obs.schema import validate_lines  # noqa: E402
 from repro.obs.sinks import RingBufferSink  # noqa: E402
 from repro.obs.tracer import Tracer  # noqa: E402
-from repro.security.adversary import verify_trace_matches_labels  # noqa: E402
+from repro.security.adversary import verify_engine_trace  # noqa: E402
 from repro.security.temporal import (  # noqa: E402
     verify_temporal_independence,
 )
@@ -161,12 +161,9 @@ async def act_3_existing_verifiers_still_hold() -> int:
     if result.lost or result.mismatches or result.failed:
         print(f"FAIL: loadgen unhealthy under pacing: {result.summary()}")
         return 1
-    leaves = [record[0] for record in service.engine.records]
     try:
-        verify_trace_matches_labels(
-            service.engine.geometry,
-            service.engine.store.backend.trace.events,
-            leaves,
+        accesses = verify_engine_trace(
+            service.engine, service.engine.store.backend.trace.events
         )
     except Exception as exc:  # ConfigError carries the divergence point
         print(f"FAIL: paced bucket trace diverges from reconstruction: {exc}")
@@ -178,7 +175,7 @@ async def act_3_existing_verifiers_still_hold() -> int:
         return 1
     dummies = sum(1 for e in events if e["kind"] == "pace_dummy_issued")
     print(
-        f"coexistence: {len(leaves)} accesses reconstructed "
+        f"coexistence: {accesses} accesses reconstructed "
         f"({dummies} pure-dummy slots), {len(events)} events schema-valid"
     )
     return 0

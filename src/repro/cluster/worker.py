@@ -208,11 +208,12 @@ class ShardWorkerService(ServiceFrontEnd):
         The cross-shard verifiers cannot observe another process's
         backend, so the per-shard half of the security argument runs
         where the backend lives: the recorded bucket trace must equal
-        the deterministic reconstruction from this shard's public leaf
-        labels (requires ``cluster.worker_record_trace``).
+        the deterministic reconstruction from this shard's public
+        labels, flat or recursive (requires
+        ``cluster.worker_record_trace``).
         """
         from repro.errors import ConfigError
-        from repro.security.adversary import verify_trace_matches_labels
+        from repro.security.adversary import verify_engine_trace
 
         trace = getattr(self.lane.backend, "trace", None)
         if trace is None:
@@ -222,32 +223,15 @@ class ShardWorkerService(ServiceFrontEnd):
                 "error": "tracing disabled (set cluster.worker_record_trace)",
             }
         engine = self.lane.engine
-        leaves = [record[0] for record in engine.records]
-        if not leaves:
-            return {
-                "id": client_id,
-                "ok": True,
-                "accesses": 0,
-                "verified_accesses": 0,
-            }
-        if engine.accesses > len(leaves):
-            return {
-                "id": client_id,
-                "ok": False,
-                "error": (
-                    f"record window overflowed ({engine.accesses} accesses, "
-                    f"{len(leaves)} retained); verify earlier in the run"
-                ),
-            }
         try:
-            verify_trace_matches_labels(engine.geometry, trace.events, leaves)
+            verified = verify_engine_trace(engine, trace.events)
         except ConfigError as exc:
             return {"id": client_id, "ok": False, "error": str(exc)}
         return {
             "id": client_id,
             "ok": True,
             "accesses": engine.accesses,
-            "verified_accesses": len(leaves),
+            "verified_accesses": verified,
         }
 
     # ------------------------------------------------------------- lifecycle

@@ -55,7 +55,8 @@ def levels_for_capacity(
     level = 0
     while True:
         # Count the tree as ~2**(L+1) buckets (the paper's convention:
-        # an 8 GB tree at L = 24), not the exact 2**(L+1) - 1.
+        # an 8 GB tree at L = 24), not the exact 2**(L+1) - 1 that
+        # TreeGeometry.for_capacity uses — which would say L = 25 here.
         buckets = 1 << (level + 1)
         if buckets * bucket_slots * utilization >= blocks_needed:
             return level

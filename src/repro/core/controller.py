@@ -63,11 +63,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.oram.blocks import Block, Bucket
 from repro.oram.encryption import BucketCipher
 from repro.oram.memory import UntrustedMemory
-from repro.oram.posmap import (
-    PositionMap,
-    RecursiveAddressSpace,
-    geometry_for_unified_space,
-)
+from repro.oram.posmap import PositionMap, RecursiveAddressSpace
 from repro.oram.stash import Stash
 from repro.oram.tree import TreeGeometry
 
@@ -127,8 +123,8 @@ class ForkPathController:
                 label_bytes=config.recursion.label_bytes,
                 onchip_bytes=config.recursion.onchip_posmap_bytes,
             )
-            self.geometry = geometry_for_unified_space(
-                self.space, oram.bucket_slots, oram.utilization
+            self.geometry = TreeGeometry.for_capacity(
+                self.space.total_blocks, oram.bucket_slots, oram.utilization
             )
         else:
             self.space = None

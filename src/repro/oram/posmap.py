@@ -189,17 +189,3 @@ class RecursiveAddressSpace:
             parts.append(f"ORAM{index}: {size} blocks @ {base}")
         parts.append(f"on-chip entries: {self.onchip_entries}")
         return ", ".join(parts)
-
-
-def geometry_for_unified_space(
-    space: RecursiveAddressSpace,
-    bucket_slots: int,
-    utilization: float,
-) -> TreeGeometry:
-    """Smallest tree holding the whole unified address space."""
-    levels = 0
-    while True:
-        buckets = (1 << (levels + 1)) - 1
-        if buckets * bucket_slots * utilization >= space.total_blocks:
-            return TreeGeometry(levels)
-        levels += 1

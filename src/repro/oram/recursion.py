@@ -29,7 +29,7 @@ from repro.config import OramConfig, RecursionConfig
 from repro.errors import ProtocolError
 from repro.oram.blocks import Block, Bucket
 from repro.oram.memory import UntrustedMemory
-from repro.oram.posmap import RecursiveAddressSpace, geometry_for_unified_space
+from repro.oram.posmap import RecursiveAddressSpace
 from repro.oram.stash import Stash
 from repro.oram.tree import TreeGeometry
 
@@ -79,8 +79,8 @@ class RecursiveOram:
             label_bytes=recursion.label_bytes,
             onchip_bytes=recursion.onchip_posmap_bytes,
         )
-        self.geometry: TreeGeometry = geometry_for_unified_space(
-            self.space, config.bucket_slots, config.utilization
+        self.geometry = TreeGeometry.for_capacity(
+            self.space.total_blocks, config.bucket_slots, config.utilization
         )
         self.memory = UntrustedMemory(self.geometry, config.bucket_slots)
         self.stash = Stash(self.geometry, config.stash_capacity)

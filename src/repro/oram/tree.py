@@ -45,6 +45,17 @@ class TreeGeometry:
         #: leaf -> tuple of path node ids, bounded (cleared when full).
         self._path_cache: dict = {}
 
+    @classmethod
+    def for_capacity(
+        cls, blocks: int, bucket_slots: int, utilization: float
+    ) -> "TreeGeometry":
+        """Smallest tree whose utilised capacity holds ``blocks`` blocks
+        (exact ``2**(L+1) - 1`` bucket count)."""
+        levels = 0
+        while ((1 << (levels + 1)) - 1) * bucket_slots * utilization < blocks:
+            levels += 1
+        return cls(levels)
+
     def __repr__(self) -> str:
         return f"TreeGeometry(levels={self.levels})"
 

@@ -142,18 +142,6 @@ class PosmapLayout:
         return ", ".join(parts)
 
 
-def _tree_for_capacity(
-    blocks: int, bucket_slots: int, utilization: float
-) -> TreeGeometry:
-    """Smallest tree whose utilised capacity holds ``blocks`` blocks."""
-    levels = 0
-    while True:
-        buckets = (1 << (levels + 1)) - 1
-        if buckets * bucket_slots * utilization >= blocks:
-            return TreeGeometry(levels)
-        levels += 1
-
-
 def plan_layout(
     oram: OramConfig, posmap: PosmapConfig, geometry: TreeGeometry
 ) -> PosmapLayout:
@@ -179,7 +167,9 @@ def plan_layout(
                 f"{len(levels) + 1} needs {blocks} blocks for {entries} "
                 f"entries (labels_per_block={labels_per_block})"
             )
-        tree = _tree_for_capacity(blocks, oram.bucket_slots, oram.utilization)
+        tree = TreeGeometry.for_capacity(
+            blocks, oram.bucket_slots, oram.utilization
+        )
         levels.append(
             PosmapLevel(
                 index=len(levels) + 1,

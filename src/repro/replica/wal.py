@@ -252,7 +252,7 @@ class WriteAheadLog:
             )
         encoded = record.encode()
         self._offsets[record.seq] = self._valid_bytes
-        if not self._offsets or len(self._offsets) == 1:
+        if len(self._offsets) == 1:
             self.first_seq = record.seq
         self.last_seq = record.seq
         self._file.write(encoded)

@@ -2,9 +2,14 @@
 statistical tests on the public label sequence."""
 
 from repro.security.adversary import (
+    access_chunks,
     expected_fork_trace,
     executed_leaves,
     split_trace_into_accesses,
+    engine_chain_slots,
+    expected_chain_trace,
+    verify_chain_trace,
+    verify_engine_trace,
 )
 from repro.security.properties import (
     chi_square_uniformity,
@@ -20,14 +25,7 @@ from repro.security.indistinguishability import (
 )
 from repro.security.replication import (
     wal_public_trace,
-    expected_write_trace,
     verify_replication_stream,
-)
-from repro.security.chain import (
-    engine_chain_slots,
-    expected_chain_trace,
-    verify_chain_trace,
-    verify_chain_replication_stream,
 )
 from repro.security.cluster import (
     InterleavedTraceRecorder,
@@ -48,6 +46,7 @@ from repro.security.temporal import (
 )
 
 __all__ = [
+    "access_chunks",
     "expected_fork_trace",
     "executed_leaves",
     "split_trace_into_accesses",
@@ -60,12 +59,11 @@ __all__ = [
     "shape_distribution_pvalue",
     "adversary_advantage",
     "wal_public_trace",
-    "expected_write_trace",
     "verify_replication_stream",
     "engine_chain_slots",
     "expected_chain_trace",
     "verify_chain_trace",
-    "verify_chain_replication_stream",
+    "verify_engine_trace",
     "InterleavedTraceRecorder",
     "verify_visit_schedule",
     "verify_shard_balance",

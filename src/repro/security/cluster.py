@@ -33,6 +33,11 @@ from typing import List, Sequence, Tuple
 from repro.errors import ConfigError
 from repro.oram.memory import MemoryOp, TraceRecorder
 from repro.oram.tree import TreeGeometry
+from repro.security.adversary import (
+    expected_slot_traces,
+    first_divergence,
+    flat_slots,
+)
 from repro.security.indistinguishability import TraceProfile
 
 #: One adversary-visible cluster event: (shard_id, op, node_id).
@@ -128,39 +133,6 @@ def verify_shard_balance(access_counts: Sequence[int]) -> None:
                 )
 
 
-def expected_access_chunks(
-    geometry: TreeGeometry,
-    leaves: Sequence[int],
-    merging: bool = True,
-) -> List[List[Tuple[MemoryOp, int]]]:
-    """Per-access bucket chunks reconstructed from public labels.
-
-    The per-access form of
-    :func:`repro.security.adversary.expected_fork_trace` (same rules:
-    read below the fork with the previous path, write down to the fork
-    with the next), which the interleaved verification needs so it can
-    lay chunks onto the dispatch schedule.
-    """
-    chunks: List[List[Tuple[MemoryOp, int]]] = []
-    for index, leaf in enumerate(leaves):
-        path = geometry.path_nodes(leaf)
-        if merging and index > 0:
-            read_from = geometry.divergence_level(leaves[index - 1], leaf)
-        else:
-            read_from = 0
-        chunk: List[Tuple[MemoryOp, int]] = [
-            (MemoryOp.READ, node_id) for node_id in path[read_from:]
-        ]
-        if merging and index + 1 < len(leaves):
-            retain = geometry.divergence_level(leaf, leaves[index + 1])
-        else:
-            retain = 0
-        for level in range(geometry.levels, retain - 1, -1):
-            chunk.append((MemoryOp.WRITE, path[level]))
-        chunks.append(chunk)
-    return chunks
-
-
 def expected_interleaved_trace(
     geometries: Sequence[TreeGeometry],
     shard_leaves: Sequence[Sequence[int]],
@@ -181,15 +153,15 @@ def expected_interleaved_trace(
             f"sequences"
         )
     per_shard = [
-        expected_access_chunks(geometry, leaves, merging)
+        expected_slot_traces(geometry, flat_slots(leaves), merging)
         for geometry, leaves in zip(geometries, shard_leaves)
     ]
-    rounds = min(len(chunks) for chunks in per_shard)
+    rounds = min(len(slots) for slots in per_shard)
     trace: List[ClusterTraceEvent] = []
     for round_no in range(rounds - 1):
-        for shard, chunks in enumerate(per_shard):
+        for shard, slots in enumerate(per_shard):
             trace.extend(
-                (shard, op, node_id) for op, node_id in chunks[round_no]
+                (shard, op, node_id) for op, node_id in slots[round_no]
             )
     return trace
 
@@ -216,15 +188,15 @@ def verify_interleaved_cluster_trace(
             f"observed trace has {len(observed)} events, reconstruction "
             f"expects at least {len(expected)}"
         )
-    for position, want in enumerate(expected):
-        got = tuple(observed[position])
-        if got != want:
-            raise ConfigError(
-                f"interleaved trace diverges from label reconstruction "
-                f"at event {position}: expected shard {want[0]} "
-                f"{want[1].value} {want[2]}, observed shard {got[0]} "
-                f"{got[1].value} {got[2]}"
-            )
+    position = first_divergence(expected, map(tuple, observed))
+    if position is not None:
+        want, got = expected[position], observed[position]
+        raise ConfigError(
+            f"interleaved trace diverges from label reconstruction "
+            f"at event {position}: expected shard {want[0]} "
+            f"{want[1].value} {want[2]}, observed shard {got[0]} "
+            f"{got[1].value} {got[2]}"
+        )
     return len(expected)
 
 
@@ -252,7 +224,6 @@ __all__ = [
     "InterleavedTraceRecorder",
     "verify_visit_schedule",
     "verify_shard_balance",
-    "expected_access_chunks",
     "expected_interleaved_trace",
     "verify_interleaved_cluster_trace",
     "shard_profile",

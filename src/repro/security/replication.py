@@ -24,13 +24,16 @@ server does: nothing beyond the access pattern the ORAM already pads.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReplicationError
 from repro.oram.memory import MemoryOp
 from repro.oram.tree import TreeGeometry
 from repro.replica.wal import WalRecord
-from repro.security.adversary import expected_fork_trace
+from repro.security.adversary import access_chunks
+
+if TYPE_CHECKING:
+    from repro.posmap.layout import PosmapLayout
 
 
 def wal_public_trace(
@@ -44,61 +47,73 @@ def wal_public_trace(
     return trace
 
 
-def expected_write_trace(
-    geometry: TreeGeometry,
-    leaves: Sequence[int],
-    merging: bool = True,
-) -> List[Tuple[MemoryOp, int]]:
-    """The write-phase subsequence of the label reconstruction."""
-    return [
-        event
-        for event in expected_fork_trace(geometry, leaves, merging)
-        if event[0] is MemoryOp.WRITE
-    ]
-
-
 def verify_replication_stream(
     geometry: TreeGeometry,
     records: Sequence[WalRecord],
     *,
     merging: bool = True,
     backend: Optional[object] = None,
+    layout: Optional["PosmapLayout"] = None,
 ) -> None:
     """Raise unless the WAL equals the public trace (and the backend).
 
-    Record by record: access ``i``'s write set must be the refill of
-    path-``leaf_i`` down to the fork with ``leaf_{i+1}``, leaf first —
-    the exact events :func:`expected_fork_trace` derives from the
-    (public) labels. The final record's fork level depends on a
-    successor label the log has not seen yet, so its writes need only
-    be a leaf-first prefix of its full path refill.
+    Record by record: data access ``i``'s write set must be the refill
+    of path-``leaf_i`` down to the fork with ``leaf_{i+1}``, leaf first
+    — the ``writes`` half of the chunk :func:`access_chunks` derives
+    from the (public) labels. The final data record's fork level
+    depends on a successor label the log has not seen yet, so its
+    writes need only be a leaf-first prefix of its full path refill.
+
+    With ``layout`` given (``posmap.mode=recursive``) each record is
+    first classified by the node-id range of its writes: posmap records
+    must be full-path leaf-first refills of their level tree, and the
+    data rule applies to the *data label subsequence* (posmap records
+    interleave freely between data records without affecting the fork).
 
     With ``backend`` given, additionally require that replaying the log
-    (last writer wins) reproduces the backend exactly: every node the
-    log wrote holds the log's final sealed bytes, and the backend holds
-    no node the log never wrote — a backend write outside the WAL would
-    be an unlogged (hence unreplicated, hence unrecoverable) access.
+    (last writer wins) reproduces the backend exactly — posmap buckets
+    included: every node the log wrote holds the log's final sealed
+    bytes, and the backend holds no node the log never wrote — a
+    backend write outside the WAL would be an unlogged (hence
+    unreplicated, hence unrecoverable) access.
     """
-    for index, record in enumerate(records):
-        path = geometry.path_nodes(record.leaf)
-        last = index + 1 == len(records)
-        if merging and not last:
-            retain = geometry.divergence_level(
-                record.leaf, records[index + 1].leaf
-            )
-        else:
-            retain = 0
-        expected = [
-            path[level]
-            for level in range(geometry.levels, retain - 1, -1)
-        ]
+    # Posmap accesses always refill a full (non-empty) path, so a
+    # record is a posmap record iff its first write lands in a level's
+    # node range; empty write sets (an access whose successor shares
+    # its whole path) are data records.
+    owners = [
+        layout.level_of_node(record.writes[0][0])
+        if layout is not None and record.writes
+        else None
+        for record in records
+    ]
+    data_leaves = [
+        record.leaf for record, level in zip(records, owners) if level is None
+    ]
+    refills = iter(access_chunks(geometry, data_leaves, merging))
+    unseen = len(data_leaves)  # data records not yet checked
+    kind = "leaf" if layout is None else "data leaf"
+    for record, level in zip(records, owners):
         observed = [node_id for node_id, _sealed in record.writes]
-        if merging and last:
+        if level is not None:
+            ((_reads, expected),) = access_chunks(
+                level.geometry, [record.leaf], False, level.node_base
+            )
+            if observed != expected:
+                raise ReplicationError(
+                    f"WAL record seq {record.seq} (posmap level "
+                    f"{level.index}, leaf {record.leaf}) is not a full-"
+                    f"path refill: expected {expected}, logged {observed}"
+                )
+            continue
+        _reads, expected = next(refills)
+        unseen -= 1
+        if merging and not unseen:
             expected = expected[: len(observed)]
         if observed != expected:
             raise ReplicationError(
-                f"WAL record seq {record.seq} (leaf {record.leaf}) is not "
-                f"the public refill of its access: expected writes "
+                f"WAL record seq {record.seq} ({kind} {record.leaf}) is "
+                f"not the public refill of its access: expected writes "
                 f"{expected}, logged {observed}"
             )
     if backend is not None:
@@ -130,6 +145,5 @@ def _verify_backend_matches(
 
 __all__ = [
     "wal_public_trace",
-    "expected_write_trace",
     "verify_replication_stream",
 ]

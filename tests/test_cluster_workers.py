@@ -78,6 +78,7 @@ def process_cluster_config(
     ack_mode: str = "none",
     checkpoint_every: int = 8,
     record_trace: bool = False,
+    recursive_posmap: bool = False,
 ) -> SystemConfig:
     """A small multi-process cluster (optionally with replication)."""
     overrides: dict = {
@@ -90,6 +91,10 @@ def process_cluster_config(
         "scheduler.label_queue_size": 16,
         "nonstop": False,
     }
+    if recursive_posmap:
+        overrides.update(
+            {"posmap.mode": "recursive", "posmap.client_budget_bytes": 128}
+        )
     if tmp_path is not None:
         overrides.update(
             {
@@ -368,7 +373,7 @@ class TestFlattenOverrides:
 class TestShardWorkerControl:
     """The worker's session/control machinery, exercised in-process."""
 
-    def _config(self) -> SystemConfig:
+    def _config(self, **overrides) -> SystemConfig:
         return SystemConfig.from_overrides(
             {
                 "cluster.shards": 2,
@@ -377,6 +382,7 @@ class TestShardWorkerControl:
                 "oram.num_blocks": 200,
                 "scheduler.label_queue_size": 8,
                 "nonstop": False,
+                **overrides,
             }
         )
 
@@ -425,6 +431,88 @@ class TestShardWorkerControl:
                 await service.stop()
 
         asyncio.run(run())
+
+    @staticmethod
+    async def _verify_after_puts(service, tamper=None) -> dict:
+        """Turn-drive a few puts through the worker, optionally tamper
+        with its recorded trace, and return its ``verify`` answer."""
+        host, port = await service.start()
+        data = protocol.FrameClient(host, port)
+        control = protocol.FrameClient(host, port)
+        await data.connect()
+        await control.connect()
+        try:
+            for addr in range(6):
+                put = asyncio.create_task(
+                    data.call({"op": "put", "addr": addr, "value": f"v{addr}"})
+                )
+                while not put.done():
+                    assert (await control.call({"op": "turn"}))["ok"]
+                assert put.result()["ok"]
+            if tamper is not None:
+                tamper(service)
+            verdict = await control.call({"op": "verify"})
+            verdict.pop("id")  # the frame client's correlation id
+            return verdict
+        finally:
+            await data.close()
+            await control.close()
+            await service.stop()
+
+    def test_verify_on_a_recursive_posmap_shard(self):
+        """The worker's verdict is chain-aware: clean recursive runs
+        verify, and a reordered trace is rejected with the event named."""
+        config = self._config(
+            **{"posmap.mode": "recursive", "posmap.client_budget_bytes": 128}
+        )
+
+        def swap_adjacent(service) -> None:
+            events = service.lane.backend.trace.events
+            middle = len(events) // 2
+            events[middle], events[middle + 1] = (
+                events[middle + 1], events[middle],
+            )
+            swap_adjacent.at = middle
+
+        clean = ShardWorkerService(config, shard_id=0)
+        assert clean.lane.engine.posmap.requires_chain
+        verdict = asyncio.run(self._verify_after_puts(clean))
+        assert verdict["ok"], verdict.get("error")
+        assert verdict["verified_accesses"] == verdict["accesses"] >= 6
+
+        verdict = asyncio.run(
+            self._verify_after_puts(
+                ShardWorkerService(config, shard_id=0), swap_adjacent
+            )
+        )
+        assert verdict["ok"] is False
+        assert verdict["error"].startswith(
+            f"trace diverges from chain reconstruction at event "
+            f"{swap_adjacent.at}: expected "
+        )
+
+    def test_verify_refusals_keep_their_wording(self):
+        untraced = ShardWorkerService(
+            self._config(**{"cluster.worker_record_trace": False}), shard_id=0
+        )
+        assert asyncio.run(self._verify_after_puts(untraced)) == {
+            "ok": False,
+            "error": "tracing disabled (set cluster.worker_record_trace)",
+        }
+
+        def overflow(service) -> None:
+            service.lane.engine.records.popleft()
+
+        overflowed = ShardWorkerService(self._config(), shard_id=0)
+        verdict = asyncio.run(self._verify_after_puts(overflowed, overflow))
+        accesses = overflowed.lane.engine.accesses
+        assert verdict == {
+            "ok": False,
+            "error": (
+                f"record window overflowed ({accesses} accesses, "
+                f"{accesses - 1} retained); verify earlier in the run"
+            ),
+        }
 
     def test_shard_local_address_bound_is_enforced(self):
         async def run() -> None:
@@ -490,6 +578,32 @@ class TestProcessCluster:
                 await service.stop()
             for process in service.fleet.processes:
                 assert not process.alive
+
+        asyncio.run(run())
+
+    def test_recursive_posmap_workers_verify_their_traces(self):
+        """Each worker of a ``posmap.mode=recursive`` process cluster
+        checks its own recorded bucket trace against the chain-aware
+        reconstruction (the flat verifier rejects event 0 here)."""
+
+        async def run() -> None:
+            service = ClusterService(
+                process_cluster_config(
+                    2, record_trace=True, recursive_posmap=True
+                )
+            )
+            host, port = await service.start()
+            try:
+                result = await run_loadgen(
+                    host, port, clients=2, requests=10, num_blocks=400
+                )
+                assert (result.lost, result.failed, result.mismatches) == (0, 0, 0)
+                for handle in service.fleet.handles:
+                    verdict = await handle.control("verify")
+                    assert verdict["ok"], verdict.get("error")
+                    assert verdict["verified_accesses"] > 0
+            finally:
+                await service.stop()
 
         asyncio.run(run())
 

@@ -39,7 +39,7 @@ from repro.obs.schema import validate_lines
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
 from repro.pace import AdaptiveDummyController, Pacer
-from repro.security.adversary import verify_trace_matches_labels
+from repro.security.adversary import verify_engine_trace
 from repro.serve import protocol
 from repro.serve.backends import FaultPlan, FaultyBackend, InMemoryBackend
 from repro.serve.service import OramService
@@ -365,12 +365,9 @@ class TestPacedService:
         service = asyncio.run(scenario())
         assert service.pacer is not None
         assert service.pacer.dummy_slots > service.engine.real_accesses
-        leaves = [record[0] for record in service.engine.records]
-        verify_trace_matches_labels(
-            service.engine.geometry,
-            service.engine.store.backend.trace.events,
-            leaves,
-        )
+        assert verify_engine_trace(
+            service.engine, service.engine.store.backend.trace.events
+        ) == len(service.engine.records)
 
     def test_cluster_inline_paced_round_covers_every_shard(self):
         from repro.cluster.service import ClusterService

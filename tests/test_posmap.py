@@ -7,11 +7,7 @@ import random
 import pytest
 
 from repro.errors import ConfigError
-from repro.oram.posmap import (
-    PositionMap,
-    RecursiveAddressSpace,
-    geometry_for_unified_space,
-)
+from repro.oram.posmap import PositionMap, RecursiveAddressSpace
 from repro.oram.tree import TreeGeometry
 
 
@@ -131,7 +127,9 @@ class TestRecursiveAddressSpace:
 class TestUnifiedGeometry:
     def test_tree_covers_all_regions(self):
         space = RecursiveAddressSpace(4096, 16, 4, 64 * 4)
-        tree = geometry_for_unified_space(space, bucket_slots=4, utilization=0.5)
+        tree = TreeGeometry.for_capacity(
+            space.total_blocks, bucket_slots=4, utilization=0.5
+        )
         assert tree.num_nodes * 4 * 0.5 >= space.total_blocks
         smaller = TreeGeometry(tree.levels - 1)
         assert smaller.num_nodes * 4 * 0.5 < space.total_blocks

@@ -66,9 +66,8 @@ from repro.replica.checkpoint import CheckpointStore
 from repro.replica.recovery import recover_engine
 from repro.replica.replicator import Replicator
 from repro.security import (
-    engine_chain_slots,
-    verify_chain_replication_stream,
-    verify_chain_trace,
+    verify_engine_trace,
+    verify_replication_stream,
 )
 from repro.serve.backends import InMemoryBackend, make_backend
 from repro.serve.engine import ObliviousEngine, ServeRequest
@@ -546,12 +545,12 @@ class TestFailureSemantics:
                 assert result.found, addr
 
         run(scenario())
-        verify_chain_replication_stream(
-            posmap.layout,
+        verify_replication_stream(
             engine.geometry,
             list(engine.replicator.wal.read_from(1)),
             merging=config.scheduler.enable_merging,
             backend=backend,
+            layout=posmap.layout,
         )
         engine.close()
 
@@ -564,9 +563,6 @@ class TestChainTrace:
         config = recursive_system(levels=7, budget=128)
         recorder = TraceRecorder()
         engine = ObliviousEngine(config, InMemoryBackend(trace=recorder))
-        layout = plan_layout(
-            config.oram, config.posmap, engine.geometry
-        )
         rng = random.Random(31)
 
         async def scenario():
@@ -582,22 +578,15 @@ class TestChainTrace:
 
         run(scenario())
         assert engine.posmap.dummy_chains > 0
-        slots = engine_chain_slots(engine)
-        assert len(slots) == len(engine.records)
-        verify_chain_trace(
-            layout, engine.geometry, recorder.events, slots,
-            merging=config.scheduler.enable_merging,
-        )
+        assert engine.posmap.depth >= 1
+        assert verify_engine_trace(engine, recorder.events) == len(engine.records)
         tampered = list(recorder.events)
         middle = len(tampered) // 2
         tampered[middle], tampered[middle + 1] = (
             tampered[middle + 1], tampered[middle],
         )
         with pytest.raises(ConfigError, match="diverges"):
-            verify_chain_trace(
-                layout, engine.geometry, tampered, slots,
-                merging=config.scheduler.enable_merging,
-            )
+            verify_engine_trace(engine, tampered)
         engine.close()
 
     def test_replicated_wal_passes_the_chain_aware_verifier(self, tmp_path):
@@ -631,12 +620,12 @@ class TestChainTrace:
             for record in records
             if record.writes
         )
-        verify_chain_replication_stream(
-            layout,
+        verify_replication_stream(
             engine.geometry,
             records,
             merging=config.scheduler.enable_merging,
             backend=engine.store.backend,
+            layout=layout,
         )
         engine.close()
 

@@ -14,37 +14,47 @@
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import (
     CacheConfig,
+    PosmapConfig,
+    ReplicaConfig,
     SchedulerConfig,
     SystemConfig,
     small_test_config,
 )
 from repro.core.controller import ForkPathController
 from repro.errors import ConfigError, ReplicationError
-from repro.oram.memory import MemoryOp, TraceEvent
+from repro.oram.memory import MemoryOp, TraceEvent, TraceRecorder
 from repro.oram.path_oram import PathOram
 from repro.oram.tree import TreeGeometry
 from repro.posmap.layout import PosmapLayout, PosmapLevel
+from repro.replica.replicator import Replicator
 from repro.replica.wal import WalRecord
 from repro.security import (
+    engine_chain_slots,
     expected_chain_trace,
     expected_interleaved_trace,
-    verify_chain_replication_stream,
     verify_chain_trace,
+    verify_engine_trace,
     verify_replication_stream,
 )
 from repro.security.adversary import (
     executed_leaves,
     expected_fork_trace,
+    expected_slot_traces,
     split_trace_into_accesses,
     verify_trace_matches_labels,
 )
+from repro.serve.backends import InMemoryBackend
+from repro.serve.engine import ObliviousEngine, ServeRequest
 from repro.security.properties import (
     chi_square_uniformity,
     expected_pairwise_overlap,
@@ -369,6 +379,14 @@ class TestReconstructionGoldens:
         assert check(events, []) == (
             "ConfigError: need at least one executed access"
         )
+        # Added with the single comparison loop: the flat verifier now
+        # rejects trailing events, as the chain verifier always did.
+        full = observed_events(
+            expected_fork_trace(GOLDEN_DATA, leaves), unseen_fork_trim=0
+        )
+        assert check(full + [TraceEvent(MemoryOp.READ, 0, 0.0)]) == (
+            "ConfigError: trace has 1 events beyond the label reconstruction"
+        )
 
     def test_chain_trace_verdicts(self):
         layout = golden_layout(2)
@@ -435,8 +453,8 @@ class TestReconstructionGoldens:
 
         def check(records, backend=image):
             return verdict(
-                verify_chain_replication_stream, layout, GOLDEN_DATA, records,
-                backend=backend,
+                verify_replication_stream, GOLDEN_DATA, records,
+                backend=backend, layout=layout,
             )
 
         assert check(records) == "accepted"
@@ -458,3 +476,225 @@ class TestReconstructionGoldens:
         assert check(records, {**image, 999_999: b"unlogged"}) == (
             "ReplicationError: backend holds buckets the WAL never wrote (unlogged, unrecoverable writes): nodes [999999]"
         )
+
+
+# ------------------------------------------------------------ engine traces
+
+
+def engine_run(mode, seed=5, queue=8, merging=True, puts=14, replica_dir=None):
+    """A clean ``ObliviousEngine`` run over a recording backend:
+    ``mode`` is ``flat`` or the recursion depth (1 or 2)."""
+    posmap = {
+        "flat": PosmapConfig(),
+        1: PosmapConfig(mode="recursive", client_budget_bytes=128,
+                        labels_per_block=8),
+        2: PosmapConfig(mode="recursive", client_budget_bytes=32,
+                        labels_per_block=8),
+    }[mode]
+    config = SystemConfig(
+        oram=small_test_config(6, block_bytes=64),
+        scheduler=SchedulerConfig(label_queue_size=queue, enable_merging=merging),
+        cache=CacheConfig(policy="none"),
+        posmap=posmap,
+        replica=ReplicaConfig(enabled=True, dir=str(replica_dir))
+        if replica_dir is not None
+        else ReplicaConfig(),
+        seed=seed,
+    )
+    recorder = TraceRecorder()
+    engine = ObliviousEngine(
+        config,
+        InMemoryBackend(trace=recorder),
+        replicator=Replicator(config.replica) if replica_dir is not None else None,
+    )
+    assert (engine.posmap.depth if mode != "flat" else "flat") == mode
+    rng = random.Random(seed)
+
+    async def scenario():
+        for index in range(puts):
+            request = ServeRequest(
+                op="put", addr=rng.randrange(100), value=f"v{index}"
+            )
+            assert engine.submit(request)
+            while engine.has_pending_real():
+                await engine.run_access()
+        for _ in range(3):  # idle slots: dummy chains, dummy paths
+            await engine.run_access()
+
+    asyncio.run(scenario())
+    return engine, recorder.events
+
+
+def engine_layout(engine):
+    return engine.posmap.layout if engine.posmap.requires_chain else None
+
+
+MODES = ["flat", 1, 2]
+
+
+@pytest.fixture(scope="module", params=MODES, ids=["flat", "depth1", "depth2"])
+def clean_run(request, tmp_path_factory):
+    engine, events = engine_run(
+        request.param, replica_dir=tmp_path_factory.mktemp("replica")
+    )
+    events = list(events)  # reading the image below is itself traced
+    records = list(engine.replicator.wal.read_from(1))
+    image = {node: engine.store.backend.get(node) for node in engine.store.backend}
+    yield engine, events, records, image
+    engine.close()
+
+
+def first_posmap_event(engine, events):
+    """Index of the first write into a posmap level's node range."""
+    data_nodes = engine.geometry.num_nodes
+    return next(
+        index for index, event in enumerate(events)
+        if event.op is MemoryOp.WRITE and event.node_id >= data_nodes
+    )
+
+
+class TestTamperMatrix:
+    """Every way of doctoring the public record is rejected by the one
+    verifier — flat, depth 1 and depth 2 — with the event or seq named."""
+
+    def check_trace(self, run, events):
+        engine = run[0]
+        return verdict(verify_engine_trace, engine, events)
+
+    def check_wal(self, run, records, backend=None):
+        engine = run[0]
+        return verdict(
+            verify_replication_stream, engine.geometry, records,
+            merging=engine.fork.enabled, backend=backend,
+            layout=engine_layout(engine),
+        )
+
+    def test_clean_run_is_accepted(self, clean_run):
+        engine, events, records, image = clean_run
+        assert verify_engine_trace(engine, events) == len(engine.records)
+        assert self.check_wal(clean_run, records, image) == "accepted"
+
+    def test_adjacent_swap(self, clean_run):
+        events = list(clean_run[1])
+        middle = len(events) // 2
+        events[middle], events[middle + 1] = events[middle + 1], events[middle]
+        assert f"at event {middle}:" in self.check_trace(clean_run, events)
+
+    def test_dropped_event(self, clean_run):
+        events = list(clean_run[1])
+        middle = len(events) // 2
+        del events[middle]
+        assert f"at event {middle}:" in self.check_trace(clean_run, events)
+
+    def test_appended_trailing_event(self, clean_run):
+        engine, events = clean_run[0], list(clean_run[1])
+        # Pad to the full reconstruction (the unseen-fork tail), then
+        # one event more: nothing may follow the last slot.
+        expected = expected_chain_trace(
+            engine_layout(engine), engine.geometry,
+            engine_chain_slots(engine), engine.fork.enabled,
+        )
+        events += [
+            TraceEvent(op, node, 0.0) for op, node in expected[len(events):]
+        ]
+        assert self.check_trace(clean_run, events) == "accepted"
+        events.append(TraceEvent(MemoryOp.READ, 0, 0.0))
+        assert "1 events beyond" in self.check_trace(clean_run, events)
+
+    def test_posmap_write_relocated_into_the_data_range(self, clean_run):
+        engine, events, records, _image = clean_run
+        if not engine.posmap.requires_chain:
+            pytest.skip("a flat shard has no posmap writes")
+        at = first_posmap_event(engine, events)
+        moved = list(events)
+        moved[at] = TraceEvent(MemoryOp.WRITE, 0, moved[at].time_ns)
+        assert f"at event {at}:" in self.check_trace(clean_run, moved)
+        # Same forgery in the WAL: the record now classifies as a data
+        # record and is not the refill of any data access.
+        index = next(
+            i for i, record in enumerate(records)
+            if record.writes
+            and record.writes[0][0] >= engine.geometry.num_nodes
+        )
+        victim = records[index]
+        forged = list(records)
+        forged[index] = WalRecord(
+            seq=victim.seq, leaf=victim.leaf,
+            writes=[(0, victim.writes[0][1])] + victim.writes[1:],
+        )
+        assert f"WAL record seq {victim.seq} " in self.check_wal(clean_run, forged)
+
+    def test_wal_write_set_truncated_mid_record(self, clean_run):
+        records = clean_run[2]
+        index = next(
+            i for i, record in enumerate(records[:-1]) if len(record.writes) > 1
+        )
+        victim = records[index]
+        cut = list(records)
+        cut[index] = WalRecord(
+            seq=victim.seq, leaf=victim.leaf, writes=victim.writes[:-1]
+        )
+        assert f"WAL record seq {victim.seq} " in self.check_wal(clean_run, cut)
+
+    def test_backend_bucket_differs_from_or_misses_the_wal_image(self, clean_run):
+        _engine, _events, records, image = clean_run
+        node = next(r for r in records[len(records) // 2:] if r.writes).writes[0][0]
+        differs = self.check_wal(clean_run, records, {**image, node: b"other"})
+        assert f"backend bucket {node} differs" in differs
+        missing = {k: v for k, v in image.items() if k != node}
+        assert f"backend bucket {node} differs" in self.check_wal(
+            clean_run, records, missing
+        )
+        unlogged = self.check_wal(clean_run, records, {**image, 999_999: b"x"})
+        assert "nodes [999999]" in unlogged
+
+
+def assert_trace_is_the_concatenated_chunks(observed, slot_traces):
+    """Every slot but the last matches event for event; the last (its
+    refill stops at a fork the labels do not show) is a prefix."""
+    settled = [event for events in slot_traces[:-1] for event in events]
+    observed = [(event.op, event.node_id) for event in observed]
+    assert observed[: len(settled)] == settled
+    tail = observed[len(settled):]
+    assert tail == slot_traces[-1][: len(tail)]
+
+
+class TestRecordedTraceProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        queue=st.integers(1, 12),
+        merging=st.booleans(),
+    )
+    def test_controller_trace_is_the_concatenated_chunks(self, seed, queue, merging):
+        controller, metrics = run_controller(
+            levels=6, queue=queue, merging=merging, n=60, seed=seed
+        )
+        leaves = executed_leaves(metrics)
+        events = controller.memory.trace.events
+        verify_trace_matches_labels(controller.geometry, events, leaves, merging)
+        assert_trace_is_the_concatenated_chunks(
+            events,
+            expected_slot_traces(
+                controller.geometry, [((), leaf) for leaf in leaves], merging
+            ),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=st.sampled_from(MODES),
+        seed=st.integers(0, 10_000),
+        queue=st.integers(1, 12),
+        merging=st.booleans(),
+    )
+    def test_engine_trace_is_the_concatenated_chunks(self, mode, seed, queue, merging):
+        engine, events = engine_run(mode, seed, queue, merging, puts=8)
+        assert verify_engine_trace(engine, events) == len(engine.records)
+        assert_trace_is_the_concatenated_chunks(
+            events,
+            expected_slot_traces(
+                engine.geometry, engine_chain_slots(engine), merging,
+                engine_layout(engine),
+            ),
+        )
+        engine.close()

@@ -47,7 +47,7 @@ from repro.replica.replicator import Replicator
 from repro.oram.tree import TreeGeometry
 from repro.security.adversary import (
     split_trace_into_accesses,
-    verify_trace_matches_labels,
+    verify_engine_trace,
 )
 from repro.security.indistinguishability import (
     TraceProfile,
@@ -936,12 +936,9 @@ class TestServedTraceSecurity:
         sequence — the executable form of the paper's security
         argument, now measured at the storage server."""
         service, _profile = traced_service_run("hot", seed=33)
-        leaves = [record[0] for record in service.engine.records]
-        verify_trace_matches_labels(
-            service.engine.geometry,
-            service.engine.store.backend.trace.events,
-            leaves,
-        )
+        assert verify_engine_trace(
+            service.engine, service.engine.store.backend.trace.events
+        ) == len(service.engine.records)
 
 
 # ----------------------------------------------------------------------- CLI
