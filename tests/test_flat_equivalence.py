@@ -162,32 +162,40 @@ def _replica_config(tmp_path) -> ReplicaConfig:
     )
 
 
-def _opened(engine: ObliviousEngine, sealed: bytes) -> tuple:
+def _opened(engine: ObliviousEngine, sealed: bytes, strip: bytes) -> tuple:
     """A sealed bucket below the ciphertext: the clear counter prefix
-    and the blocks it opens to."""
+    and the blocks it opens to (payloads less trailing ``strip``)."""
     store = engine.store
     return (
         bytes(sealed[:16]),
         [
-            (block.addr, block.leaf, bytes(block.payload))
+            (block.addr, block.leaf, bytes(block.payload).rstrip(strip))
             for block in store.cipher.open_blocks(sealed, store.bucket_slots)
         ],
     )
 
 
-def _drive_engine(engine: ObliviousEngine, *, binary: bool = False):
+def _drive_engine(engine: ObliviousEngine, *, binary: bool = False,
+                  exact_bytes: int = 0):
     """Sixty seeded puts/gets, each drained before the next; digests of
     the bus trace, access records, store image, WAL and results. With
     the real cipher, ``image_plain``/``wal_plain`` digest the same image
-    and WAL opened — what must survive a ciphertext-format change."""
+    and WAL opened — what must survive a ciphertext-format change.
+
+    ``binary`` makes the values short ``bytes`` and strips trailing NULs
+    from everything read back (a fixed-slot bucket format pads them on);
+    ``exact_bytes`` makes them exactly that long, nothing stripped."""
     results = []
+    strip = b"\x00" if binary else b""
 
     async def scenario():
         rng = random.Random(21)
         for index in range(60):
             addr = rng.randrange(24)
             if rng.random() < 0.5:
-                value = f"v{index}".encode() if binary else f"v{index}"
+                value = f"v{index}"
+                if binary or exact_bytes:
+                    value = value.encode().ljust(exact_bytes, b".")
                 request = ServeRequest(op="put", addr=addr, value=value)
             else:
                 request = ServeRequest(op="get", addr=addr)
@@ -198,7 +206,7 @@ def _drive_engine(engine: ObliviousEngine, *, binary: bool = False):
                 await engine.run_access()
             result = request.result
             if isinstance(result, (bytes, bytearray)):
-                result = bytes(result).rstrip(b"\x00")
+                result = bytes(result).rstrip(strip)
             results.append((request.op, request.addr, request.found,
                             result, request.status))
 
@@ -221,7 +229,7 @@ def _drive_engine(engine: ObliviousEngine, *, binary: bool = False):
     real_cipher = isinstance(engine.store.cipher, CounterModeCipher)
     if real_cipher:
         observed["image_plain"] = _digest(
-            [(node, _opened(engine, sealed))
+            [(node, _opened(engine, sealed, strip))
              for node, sealed in sorted(image.items())]
         )
     if engine.replicator is not None:
@@ -230,7 +238,8 @@ def _drive_engine(engine: ObliviousEngine, *, binary: bool = False):
         if real_cipher:
             observed["wal_plain"] = _digest(
                 [(r.seq, r.leaf,
-                  [(node, *_opened(engine, sealed)) for node, sealed in r.writes])
+                  [(node, *_opened(engine, sealed, strip))
+                   for node, sealed in r.writes])
                  for r in wal]
             )
     engine.close()
@@ -289,16 +298,36 @@ ENGINE_REPLICATED_GOLDEN = {
         "bf47b79701652a41d6b8d96336d4e5ba"
         "f5d19fe1606d5f0fc40502ab7f64b177"
     ),
-    # Plaintext level, captured at cb02a95 before the keystream changed
-    # and unchanged by it: the image and the WAL opened (counter prefix
-    # + blocks per bucket).
+    # Plaintext level: the image and the WAL opened (counter prefix +
+    # blocks per bucket, payloads less trailing NULs), captured at
+    # dd45e42 while buckets were still fixed slots. Their NUL-padded
+    # predecessors (2decfb2b…236e691d, 06be0176…b2a904a0, captured at
+    # cb02a95) pinned the padding itself.
     "image_plain": (
-        "2decfb2bf6c9fee23ed5b6a0e1a498cf"
-        "c4e2708f34d2bf709016b897236e691d"
+        "2f325b2b78f7eaaa9cb026ebbea9b7db"
+        "520c14a1cf05612db13967d6d996acc4"
     ),
     "wal_plain": (
-        "06be0176dbbc91579a11e4a8f97b97de"
-        "795a119a1e306d36ba45e1d3b2a904a0"
+        "fde7c3f3a421ca7997eb613b40571d89"
+        "ef7250b48a4be2857615198feeea9f65"
+    ),
+}
+#: Values of exactly ``block_bytes``, nothing stripped (dd45e42).
+ENGINE_REPLICATED_EXACT_GOLDEN = {
+    "trace": ENGINE_REPLICATED_GOLDEN["trace"],
+    "records": ENGINE_REPLICATED_GOLDEN["records"],
+    "counters": ENGINE_REPLICATED_GOLDEN["counters"],
+    "results": (
+        "affd3bcd334b7b2be5c60cac9c70a484"
+        "87cf208d2951e3482a46fca763c84aa2"
+    ),
+    "image_plain": (
+        "a4c534786d7b6cd0abff69882e9f1792"
+        "19dbce8dca488ad6f124e5418ee98d38"
+    ),
+    "wal_plain": (
+        "5f4841a80c9644be5eb700bba543e289"
+        "67f4ce93da9f67493ba581181dcddd1e"
     ),
 }
 #: Captured at 74ad3a0 from the batched path (see module docstring).
@@ -372,6 +401,21 @@ class TestServeEngineEquivalence:
             replicator=Replicator(config.replica),
         )
         assert _drive_engine(engine, binary=True) == ENGINE_REPLICATED_GOLDEN
+
+    def test_replicated_engine_exact_block_values(self, tmp_path):
+        """Same run with values of exactly ``block_bytes``: the opened
+        image, WAL and results match with nothing stripped anywhere.
+        (The ciphertext digests are pinned by the test above.)"""
+        config = _serve_config(replica=_replica_config(tmp_path))
+        engine = ObliviousEngine(
+            config,
+            InMemoryBackend(TraceRecorder()),
+            cipher=CounterModeCipher(b"golden-key", 64),
+            replicator=Replicator(config.replica),
+        )
+        observed = _drive_engine(engine, exact_bytes=64)
+        del observed["image"], observed["wal"]
+        assert observed == ENGINE_REPLICATED_EXACT_GOLDEN
 
     def test_recursive_replicated_engine_is_unmoved(self, tmp_path):
         config = _serve_config(
