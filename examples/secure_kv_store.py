@@ -13,6 +13,7 @@ only uniformly random tree paths.
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
@@ -25,7 +26,13 @@ from repro.security.properties import chi_square_uniformity
 
 
 class SecureKvStore:
-    """Dict-like store over an encrypted, recursive Path ORAM."""
+    """Dict-like store over an encrypted, recursive Path ORAM.
+
+    A block payload is ``None``, an int, ``bytes`` or a ``str`` — what a
+    sealed bucket can hold — so structured values are JSON text by the
+    time they reach the ORAM; serialising is the caller's job, not the
+    storage format's.
+    """
 
     def __init__(self, capacity: int = 4096, seed: int = 0) -> None:
         config = small_test_config(12, block_bytes=64)
@@ -49,12 +56,12 @@ class SecureKvStore:
         return slot
 
     def put(self, key: str, value: object) -> None:
-        self._oram.write(self._slot(key), value)
+        self._oram.write(self._slot(key), json.dumps(value))
 
     def get(self, key: str) -> object:
         if key not in self._slots:
             raise KeyError(key)
-        return self._oram.read(self._slots[key])
+        return json.loads(self._oram.read(self._slots[key]))
 
     @property
     def oram(self) -> RecursiveOram:

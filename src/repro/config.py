@@ -313,20 +313,20 @@ class DramTimingConfig:
     """DDR3-1600 style timing, in nanoseconds (DRAMSim2 defaults).
 
     The values follow Micron DDR3-1600 (11-11-11) sheets as shipped with
-    DRAMSim2: tCK = 1.25 ns, CL = tRCD = tRP = 13.75 ns.
+    DRAMSim2: tCK = 1.25 ns, CL = tRCD = tRP = 13.75 ns (and tRAS =
+    35 ns, which the bank model does not use, so it is not a field).
     """
 
     t_ck_ns: float = 1.25
     t_cas_ns: float = 13.75
     t_rcd_ns: float = 13.75
     t_rp_ns: float = 13.75
-    t_ras_ns: float = 35.0
     burst_length: int = 8
     bus_bytes: int = 8
     row_bytes: int = 8192
 
     def __post_init__(self) -> None:
-        for name in ("t_ck_ns", "t_cas_ns", "t_rcd_ns", "t_rp_ns", "t_ras_ns"):
+        for name in ("t_ck_ns", "t_cas_ns", "t_rcd_ns", "t_rp_ns"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.burst_length < 1 or self.bus_bytes < 1 or self.row_bytes < 1:
@@ -382,10 +382,8 @@ class ProcessorConfig:
     mlp: int = 16
     l1_bytes: int = 32 * 1024
     l1_ways: int = 2
-    l1_latency_cycles: int = 1
     l2_bytes: int = 1 << 20
     l2_ways: int = 8
-    l2_latency_cycles: int = 10
 
     def __post_init__(self) -> None:
         if self.num_cores < 1:
@@ -1088,7 +1086,9 @@ def flatten_overrides(config: SystemConfig) -> "dict[str, object]":
 
 
 def table1_processor_config() -> ProcessorConfig:
-    """The exact processor configuration of the paper's Table 1."""
+    """The exact processor configuration of the paper's Table 1 (less
+    its hit latencies — L1 1 cycle, L2 10 — which nothing here models:
+    the simulator times LLC misses only)."""
     return ProcessorConfig(
         num_cores=4,
         core_type="ooo",
@@ -1096,10 +1096,8 @@ def table1_processor_config() -> ProcessorConfig:
         mlp=8,
         l1_bytes=32 * 1024,
         l1_ways=2,
-        l1_latency_cycles=1,
         l2_bytes=1 << 20,
         l2_ways=8,
-        l2_latency_cycles=10,
     )
 
 

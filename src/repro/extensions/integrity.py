@@ -170,7 +170,7 @@ class MerkleMemory:
         if block is not None and not bucket.is_full():
             bucket.add(block)
         elif bucket.blocks:
-            bucket.blocks[0].payload = ("tampered", bucket.blocks[0].payload)
+            bucket.blocks[0].payload = f"tampered:{bucket.blocks[0].payload!r}"
         else:
             bucket.add(Block(999_999, 0, "forged"))
         # Bypass the verified writer: poke the raw store.

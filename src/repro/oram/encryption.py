@@ -21,11 +21,13 @@ give unrelated pads:
   nonce || chunk_index``. Sealed checkpoints are persisted by running
   services, so this version-1 envelope keeps its exact bytes.
 
-Two implementations share the :class:`BucketCipher` interface:
+Two implementations share the :class:`BucketCipher` interface and one
+bucket image, :mod:`repro.oram.records` — what a payload may be and how
+a bucket is laid out is decided there, not here:
 
-* :class:`CounterModeCipher` — real byte-level encryption, used by the
-  security tests and the encrypted examples.
-* :class:`NullCipher` — identity transform that still tracks counter
+* :class:`CounterModeCipher` — real byte-level encryption of that image,
+  used by the security tests and the encrypted examples.
+* :class:`NullCipher` — the image as is, still tracking counter
   freshness, used by the timing experiments where byte-level crypto
   would only burn CPU without changing any measured quantity.
 """
@@ -35,14 +37,12 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.errors import ConfigError, DecryptionError
 from repro.oram import records
-from repro.oram.blocks import Block, Bucket, DUMMY_ADDR
+from repro.oram.blocks import Block, Bucket
 
-_HEADER = struct.Struct("<qq")  # (addr, leaf) per slot
-_DUMMY_HEADER = _HEADER.pack(DUMMY_ADDR, 0)
 #: Domain tag of the bucket keystream, absorbed after the
 #: length-prefixed key: no (key, tag) pair is a prefix of another.
 _BUCKET_DOMAIN = b"repro.oram.bucket-keystream"
@@ -106,13 +106,10 @@ class NullCipher(BucketCipher):
         return records.pack(self._counter, bucket.blocks)
 
     def open(self, sealed: object, capacity: int) -> Bucket:
-        bucket = Bucket.__new__(Bucket)
-        bucket.capacity = capacity
-        bucket.blocks = self.open_blocks(sealed, capacity)
-        return bucket
+        return Bucket.of(capacity, self.open_blocks(sealed, capacity))
 
     def open_blocks(self, sealed: object, capacity: int) -> List[Block]:
-        return records.unpack_from(sealed)
+        return records.unpack_from(sealed, capacity=capacity)
 
     def seal_blocks(self, blocks: List[Block], capacity: int) -> bytes:
         self._counter += 1
@@ -135,22 +132,20 @@ class NullCipher(BucketCipher):
 
 
 class CounterModeCipher(BucketCipher):
-    """Counter-mode bucket encryption over a serialised bucket image.
+    """Counter-mode encryption of the packed-record bucket image.
 
-    Every slot is serialised as ``(addr, leaf, payload[block_bytes])``;
-    dummy slots carry ``addr = DUMMY_ADDR`` and pseudo-random padding,
-    making real and dummy slots indistinguishable after encryption. The
-    whole bucket image is XORed with a keystream derived from
-    ``(key, counter)``; the counter increments on every seal, so sealing
-    the same bucket twice yields unrelated ciphertexts.
+    The plaintext is :func:`repro.oram.records.pack`'s image — the one
+    :class:`NullCipher` stores as is — zero-padded to the size of ``Z``
+    records of ``block_bytes`` payload (8 at least: a machine int), so
+    every ciphertext of one store has one length whatever the bucket
+    holds. The body after the 16 clear counter bytes is XORed with a
+    keystream derived from ``(key, counter)``; the counter increments on
+    every seal, so sealing the same bucket twice yields unrelated
+    ciphertexts, and under the pad a zero tail is as random as a record.
 
     The keystream is one SHAKE-256 squeeze per bucket. The constructor
     absorbs ``len(key) || key || _BUCKET_DOMAIN`` once; a seal or an
     open copies that midstate, absorbs the 16 counter bytes and squeezes.
-    A seal squeezes ``block_bytes`` past the image: the head of the
-    stream is the XOR pad and the disjoint tail is the dummy-slot
-    padding, so padding costs no second derivation and no stream byte
-    is used twice.
     """
 
     def __init__(self, key: bytes, block_bytes: int) -> None:
@@ -158,8 +153,7 @@ class CounterModeCipher(BucketCipher):
             raise ConfigError("encryption key must be non-empty")
         if block_bytes < 1:
             raise ConfigError(f"block_bytes must be >= 1, got {block_bytes}")
-        self._block_bytes = block_bytes
-        self._slot = _HEADER.size + block_bytes
+        self._max_payload = max(block_bytes, 8)
         self._counter = 0
         key = bytes(key)
         self._midstate = hashlib.shake_256(
@@ -171,33 +165,26 @@ class CounterModeCipher(BucketCipher):
         stream.update(counter_prefix)
         return stream.digest(length)
 
-    # ----------------------------------------------------------- serialise
+    def _sealed_bytes(self, capacity: int) -> int:
+        return records.HEADER_BYTES + capacity * (
+            records.REC_BYTES + self._max_payload
+        )
 
-    def _serialise_payload(self, payload: object) -> bytes:
-        if payload is None:
-            raw = b""
-        elif isinstance(payload, bytes):
-            raw = payload
-        elif isinstance(payload, bytearray):
-            raw = bytes(payload)
-        elif isinstance(payload, int):
-            raw = payload.to_bytes(self._block_bytes, "little", signed=True)
-        else:
-            raise ConfigError(
-                "CounterModeCipher payloads must be bytes, int or None; got "
-                f"{type(payload).__name__} (use NullCipher for object payloads)"
-            )
-        if len(raw) > self._block_bytes:
-            raise ConfigError(
-                f"payload of {len(raw)} bytes exceeds block size "
-                f"{self._block_bytes}"
-            )
-        return raw.ljust(self._block_bytes, b"\x00")
+    def _xor_body(self, image: bytes, length: int) -> bytes:
+        """``image`` with everything past its 16 counter bytes XORed
+        with that counter's pad, zero-extended to ``length`` bytes —
+        one big-int op (C speed), not a per-byte loop."""
+        pad = self._keystream(image[:16], length - 16)
+        return (
+            int.from_bytes(image, "little")
+            ^ (int.from_bytes(pad, "little") << 128)
+        ).to_bytes(length, "little")
 
     def seal(self, bucket: Bucket, capacity: int) -> bytes:
-        """Encrypt a bucket into ``16 + capacity * slot`` ciphertext bytes.
+        """Encrypt a bucket into ``17 + capacity * (19 + max(block_bytes,
+        8))`` ciphertext bytes.
 
-        Layout: ``counter (16B, clear) || E(slot_0 || ... || slot_Z-1)``.
+        Layout: ``counter (16B, clear) || E(nblocks || records || 0…)``.
         The counter must be stored in the clear (hardware does the same)
         so the controller can regenerate the keystream; it reveals only
         write ordering, which the adversary observes anyway.
@@ -208,49 +195,19 @@ class CounterModeCipher(BucketCipher):
                 f"bucket holds {len(blocks)} blocks, capacity {capacity}"
             )
         self._counter += 1
-        prefix = self._counter.to_bytes(16, "little")
-        total = capacity * self._slot
-        stream = self._keystream(prefix, total + self._block_bytes)
-        pack = _HEADER.pack
-        serialise = self._serialise_payload
-        slots = [
-            pack(block.addr, block.leaf) + serialise(block.payload)
-            for block in blocks
-        ]
-        # Pseudo-random but deterministic (tests round-trip), identical
-        # for every dummy slot of one seal.
-        slots.append((_DUMMY_HEADER + stream[total:]) * (capacity - len(blocks)))
-        # Bytewise XOR via one big-int op (C speed), not a per-byte loop.
-        body = (
-            int.from_bytes(b"".join(slots), "little")
-            ^ int.from_bytes(stream[:total], "little")
-        ).to_bytes(total, "little")
-        return prefix + body
+        image = records.pack(self._counter, blocks, self._max_payload)
+        return self._xor_body(image, self._sealed_bytes(capacity))
 
     def open(self, sealed: object, capacity: int) -> Bucket:
         if not isinstance(sealed, (bytes, bytearray)):
             raise DecryptionError("ciphertext must be bytes")
-        slot = self._slot
-        total = capacity * slot
-        expected = 16 + total
+        expected = self._sealed_bytes(capacity)
         if len(sealed) != expected:
             raise DecryptionError(
                 f"ciphertext length {len(sealed)} != expected {expected}"
             )
-        pad = self._keystream(sealed[:16], total)
-        image = (
-            int.from_bytes(sealed[16:], "little") ^ int.from_bytes(pad, "little")
-        ).to_bytes(total, "little")
-        bucket = Bucket(capacity)
-        header_size = _HEADER.size
-        unpack_from = _HEADER.unpack_from
-        for offset in range(0, total, slot):
-            addr, leaf = unpack_from(image, offset)
-            if addr != DUMMY_ADDR:
-                bucket.add(
-                    Block(addr, leaf, image[offset + header_size : offset + slot])
-                )
-        return bucket
+        image = self._xor_body(sealed, expected)
+        return Bucket.of(capacity, records.unpack_from(image, capacity=capacity))
 
 
 #: Sealed-state framing: magic, format version, nonce length.
@@ -365,14 +322,3 @@ def state_nonce(seq: int, salt: bytes = b"") -> bytes:
     return hashlib.sha256(
         b"ckpt-nonce" + salt + seq.to_bytes(16, "little")
     ).digest()[:_STATE_NONCE_BYTES]
-
-
-def make_cipher(
-    kind: str, *, key: bytes = b"fork-path-oram", block_bytes: int = 64
-) -> BucketCipher:
-    """Factory: ``"null"`` or ``"counter"``."""
-    if kind == "null":
-        return NullCipher()
-    if kind == "counter":
-        return CounterModeCipher(key, block_bytes)
-    raise ConfigError(f"unknown cipher kind {kind!r}")

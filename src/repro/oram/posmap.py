@@ -13,10 +13,54 @@ indistinguishable from ordinary requests from outside the processor.
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.oram.tree import TreeGeometry
+
+
+def plan_recursion(
+    entries: int, labels_per_block: int, budget_entries: int
+) -> Tuple[List[int], int]:
+    """``(level_sizes, root_entries)`` of every recursive position map
+    here: add a level of ``ceil(entries / labels_per_block)`` PosMap
+    blocks (``level_sizes[0]`` maps the data blocks) until what is left
+    fits ``budget_entries`` resident labels."""
+    level_sizes: List[int] = []
+    while entries > budget_entries:
+        blocks = -(-entries // labels_per_block)
+        if blocks >= entries:
+            raise ConfigError(
+                f"posmap recursion does not converge: level "
+                f"{len(level_sizes) + 1} needs {blocks} blocks for {entries} "
+                f"entries (labels_per_block={labels_per_block})"
+            )
+        level_sizes.append(blocks)
+        entries = blocks
+    return level_sizes, entries
+
+
+# A PosMap block's payload, simulator and service alike: little-endian
+# labels of ``label_bytes`` each, all-ones meaning "never assigned".
+
+
+def empty_labels(labels_per_block: int, label_bytes: int) -> bytes:
+    """A freshly created PosMap block: every slot is the sentinel."""
+    return b"\xff" * (labels_per_block * label_bytes)
+
+
+def read_label(payload: bytes, slot: int, label_bytes: int) -> Optional[int]:
+    """Decode one packed label; None when the slot is the sentinel."""
+    offset = slot * label_bytes
+    raw = payload[offset : offset + label_bytes]
+    return None if raw == b"\xff" * label_bytes else int.from_bytes(raw, "little")
+
+
+def write_label(payload: bytes, slot: int, label_bytes: int, leaf: int) -> bytes:
+    """Return ``payload`` with one packed label replaced."""
+    offset = slot * label_bytes
+    label = leaf.to_bytes(label_bytes, "little")
+    return payload[:offset] + label + payload[offset + label_bytes :]
 
 
 class PositionMap:
@@ -127,22 +171,18 @@ class RecursiveAddressSpace:
         self.label_bytes = label_bytes
         self.onchip_bytes = onchip_bytes
 
-        #: blocks per recursion level; level_sizes[0] is ORAM1.
-        self.level_sizes: List[int] = []
+        #: blocks per recursion level (level_sizes[0] is ORAM1), and the
+        #: labels left for the on-chip map (the last level's, or the data's).
+        self.level_sizes, self.onchip_entries = plan_recursion(
+            num_data_blocks, labels_per_block, onchip_bytes // label_bytes
+        )
         #: base address of each level in the unified space.
         self.level_bases: List[int] = []
-        entries = num_data_blocks
         base = num_data_blocks
-        while entries * label_bytes > onchip_bytes:
-            blocks = -(-entries // labels_per_block)
-            self.level_sizes.append(blocks)
+        for blocks in self.level_sizes:
             self.level_bases.append(base)
             base += blocks
-            entries = blocks
         self.total_blocks = base
-        #: entries the on-chip map must hold (labels of the last level,
-        #: or of the data blocks themselves when no recursion happens).
-        self.onchip_entries = entries
 
     @property
     def depth(self) -> int:
@@ -160,6 +200,12 @@ class RecursiveAddressSpace:
         for _ in range(level):
             index //= self.labels_per_block
         return self.level_bases[level - 1] + index
+
+    def slot_of(self, data_addr: int, level: int) -> int:
+        """Payload slot, in ``data_addr``'s level-``level`` PosMap block,
+        of its chain child (the level below, or the data block)."""
+        per_block = self.labels_per_block
+        return data_addr // per_block ** (level - 1) % per_block
 
     def chain_for(self, data_addr: int) -> List[int]:
         """Unified addresses to access for one LLC request.

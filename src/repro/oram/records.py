@@ -14,26 +14,27 @@ so everything that harvests write counters from sealed bytes (the WAL's
 ``max_sealed_counter`` scan, promotion counter retirement) works on
 both cipher families without a format switch.
 
-Payloads are tagged by type so the common simulator payloads (``None``
-and machine ints) and the service payloads (``str``/``bytes``) encode
-with one or two ``struct`` calls and zero pickling; arbitrary objects
-fall back to a pickled record. Type checks are exact (``type(p) is
-int``) rather than ``isinstance`` so ``bool`` — an ``int`` subclass —
-round-trips through pickle with its type intact.
+A payload is ``None``, an ``int``, ``bytes`` or a ``str`` — tagged by
+type, so each comes back as the type and length it went in with: the
+simulator payloads (``None`` and machine ints) and the service payloads
+(``str``/``bytes``) encode with one or two ``struct`` calls. Anything
+else is a ``TypeError`` at pack time; type checks are exact (``type(p)
+is int``), so ``bool`` — an ``int`` subclass — is refused rather than
+silently collapsed to ``int``. Nothing read back is ever evaluated: a
+sealed image decodes to those four types or not at all.
 
 This module owns *format*, not *policy*: it packs into caller-provided
 buffers (the flat store's preallocated slabs) or fresh bytes (backends,
-WAL shipping), and rejects truncated or corrupt input with
-:class:`~repro.errors.DecryptionError`.
+WAL shipping, the cipher's plaintext), and rejects truncated or corrupt
+input with :class:`~repro.errors.DecryptionError`.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
 from typing import List, Optional, Sequence
 
-from repro.errors import DecryptionError
+from repro.errors import ConfigError, DecryptionError
 from repro.oram.blocks import Block
 
 #: Sealed-bucket header: 16-byte LE counter + 1-byte block count.
@@ -51,7 +52,6 @@ TAG_NONE = 0
 TAG_INT = 1
 TAG_BYTES = 2
 TAG_STR = 3
-TAG_PICKLE = 4
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -77,11 +77,11 @@ def encode_payload(payload: object) -> tuple:
     if kind is bytes:
         return TAG_BYTES, payload
     if kind is str:
-        try:
-            return TAG_STR, payload.encode("utf-8")
-        except UnicodeEncodeError:
-            return TAG_PICKLE, pickle.dumps(payload)
-    return TAG_PICKLE, pickle.dumps(payload)
+        # surrogatepass: lone surrogates (the JSON wire can deliver them) encode.
+        return TAG_STR, payload.encode("utf-8", "surrogatepass")
+    raise TypeError(
+        f"block payloads must be None, int, bytes or str; got {kind.__name__}"
+    )
 
 
 def decode_payload(tag: int, raw) -> object:
@@ -93,9 +93,10 @@ def decode_payload(tag: int, raw) -> object:
     if tag == TAG_BYTES:
         return bytes(raw)
     if tag == TAG_STR:
-        return str(raw, "utf-8")
-    if tag == TAG_PICKLE:
-        return pickle.loads(raw)
+        try:
+            return str(raw, "utf-8", "surrogatepass")
+        except UnicodeDecodeError as exc:
+            raise DecryptionError(f"corrupt text payload: {exc}") from None
     raise DecryptionError(f"unknown payload tag {tag}")
 
 
@@ -139,8 +140,10 @@ def pack_into(buf, base: int, cap: int, counter: int, blocks) -> int:
     return off
 
 
-def pack(counter: int, blocks) -> bytes:
-    """Pack a sealed bucket into fresh bytes (backend/WAL form)."""
+def pack(counter: int, blocks, max_payload: int = _MAX_PAYLOAD) -> bytes:
+    """Pack a sealed bucket into fresh bytes (backend/WAL form). A
+    payload encoding longer than ``max_payload`` (machine ints: always
+    8 bytes, unchecked) is a :class:`~repro.errors.ConfigError`."""
     out = bytearray(HEADER_BYTES)
     _CTR.pack_into(
         out, 0, counter & 0xFFFFFFFFFFFFFFFF, (counter >> 64) & 0xFFFFFFFFFFFFFFFF
@@ -153,9 +156,9 @@ def pack(counter: int, blocks) -> bytes:
             out += _REC_I64.pack(block.addr, block.leaf, TAG_INT, 8, payload)
             continue
         tag, raw = encode_payload(payload)
-        if len(raw) > _MAX_PAYLOAD:
-            raise DecryptionError(
-                f"payload of {len(raw)} bytes exceeds the record limit"
+        if len(raw) > max_payload:
+            raise ConfigError(
+                f"payload of {len(raw)} bytes exceeds the {max_payload}-byte limit"
             )
         out += _REC.pack(block.addr, block.leaf, tag, len(raw))
         out += raw
@@ -170,11 +173,14 @@ def unpack_counter(sealed) -> int:
     return (hi << 64) | lo
 
 
-def unpack_from(buf, base: int = 0, end: Optional[int] = None) -> List[Block]:
+def unpack_from(
+    buf, base: int = 0, end: Optional[int] = None, capacity: int = 0xFF
+) -> List[Block]:
     """Decode the real blocks of a sealed bucket at ``buf[base:]``.
 
     ``end`` bounds the image (defaults to ``len(buf)``); a record that
-    runs past it raises :class:`~repro.errors.DecryptionError` — the
+    runs past it, or a block count above ``capacity`` (the bucket's
+    ``Z``), raises :class:`~repro.errors.DecryptionError` — the
     truncation/corruption guard the property tests exercise.
     """
     if end is None:
@@ -182,6 +188,10 @@ def unpack_from(buf, base: int = 0, end: Optional[int] = None) -> List[Block]:
     if base + HEADER_BYTES > end:
         raise DecryptionError("sealed bucket too short for its header")
     nblocks = buf[base + 16]
+    if nblocks > capacity:
+        raise DecryptionError(
+            f"sealed bucket claims {nblocks} blocks, capacity {capacity}"
+        )
     off = base + HEADER_BYTES
     blocks: List[Block] = []
     unpack = _REC.unpack_from

@@ -29,7 +29,12 @@ from repro.config import OramConfig, RecursionConfig
 from repro.errors import ProtocolError
 from repro.oram.blocks import Block, Bucket
 from repro.oram.memory import UntrustedMemory
-from repro.oram.posmap import RecursiveAddressSpace
+from repro.oram.posmap import (
+    RecursiveAddressSpace,
+    empty_labels,
+    read_label,
+    write_label,
+)
 from repro.oram.stash import Stash
 from repro.oram.tree import TreeGeometry
 
@@ -88,7 +93,6 @@ class RecursiveOram:
         #: themselves when everything fits on chip).
         self._onchip: Dict[int, int] = {}
         self.stats = RecursiveOramStats()
-        self._written: set[int] = set()
 
     # ------------------------------------------------------------- requests
 
@@ -136,10 +140,11 @@ class RecursiveOram:
             if is_last:
                 if is_write:
                     block.payload = payload
-                    self._written.add(addr)
                 result = block.payload
             else:
-                old_leaf, new_leaf = self._payload_remap(block, chain[position + 1])
+                old_leaf, new_leaf = self._payload_remap(
+                    block, self.space.slot_of(addr, len(chain) - 1 - position)
+                )
 
             if not stash_hit:
                 self._write_path(access_leaf)
@@ -153,16 +158,18 @@ class RecursiveOram:
         self._onchip[block_addr] = new
         return old, new
 
-    def _payload_remap(self, posmap_block: Block, child_addr: int) -> tuple[int, int]:
-        """Read and refresh ``child_addr``'s label inside a PosMap block."""
-        if posmap_block.payload is None:
-            posmap_block.payload = {}
-        labels: Dict[int, int] = posmap_block.payload  # type: ignore[assignment]
-        old = labels.get(child_addr)
+    def _payload_remap(self, posmap_block: Block, slot: int) -> tuple[int, int]:
+        """Read and refresh the child label in ``slot`` of a PosMap
+        block's packed payload (the codec the service's posmap uses)."""
+        label_bytes = self.recursion.label_bytes
+        labels = posmap_block.payload
+        if not isinstance(labels, bytes):  # first touch: no labels yet
+            labels = empty_labels(self.recursion.labels_per_block, label_bytes)
+        old = read_label(labels, slot, label_bytes)
         if old is None:
             old = self.geometry.random_leaf(self.rng)
         new = self.geometry.random_leaf(self.rng)
-        labels[child_addr] = new
+        posmap_block.payload = write_label(labels, slot, label_bytes, new)
         return old, new
 
     def _read_path(self, leaf: int) -> None:

@@ -24,6 +24,7 @@ from typing import List, Optional
 
 from repro.config import OramConfig, PosmapConfig
 from repro.errors import ConfigError
+from repro.oram.posmap import empty_labels, plan_recursion, read_label, write_label
 from repro.oram.tree import TreeGeometry
 
 
@@ -81,8 +82,6 @@ class PosmapLayout:
         #: Entries the resident root map holds: labels of the deepest
         #: level's blocks (or of the data blocks when depth == 0).
         self.root_entries = root_entries
-        #: All-ones payload slot meaning "no label assigned yet".
-        self.sentinel = (1 << (8 * label_bytes)) - 1
         self.posmap_node_base = levels[0].node_base if levels else 0
         self.total_nodes = levels[-1].node_end if levels else 0
 
@@ -107,25 +106,16 @@ class PosmapLayout:
         return None
 
     def empty_payload(self) -> bytes:
-        """A freshly created PosMap block: every slot is the sentinel."""
-        return b"\xff" * (self.labels_per_block * self.label_bytes)
+        """A fresh PosMap block (:func:`repro.oram.posmap.empty_labels`)."""
+        return empty_labels(self.labels_per_block, self.label_bytes)
 
     def read_slot(self, payload: bytes, slot: int) -> Optional[int]:
-        """Decode one packed label; None when the slot is the sentinel."""
-        offset = slot * self.label_bytes
-        raw = int.from_bytes(
-            payload[offset : offset + self.label_bytes], "little"
-        )
-        return None if raw == self.sentinel else raw
+        """One packed label, None when never assigned (``read_label``)."""
+        return read_label(payload, slot, self.label_bytes)
 
     def write_slot(self, payload: bytes, slot: int, leaf: int) -> bytes:
-        """Return ``payload`` with one packed label replaced."""
-        offset = slot * self.label_bytes
-        mutable = bytearray(payload)
-        mutable[offset : offset + self.label_bytes] = leaf.to_bytes(
-            self.label_bytes, "little"
-        )
-        return bytes(mutable)
+        """``payload`` with one packed label replaced (``write_label``)."""
+        return write_label(payload, slot, self.label_bytes, leaf)
 
     def describe(self) -> str:
         parts = [f"data: {self.num_blocks} blocks"]
@@ -155,18 +145,14 @@ def plan_layout(
     labels_per_block = posmap.labels_per_block
     if labels_per_block == 0:
         labels_per_block = max(2, oram.block_bytes // posmap.label_bytes)
-    budget_entries = posmap.client_budget_bytes // posmap.label_bytes
+    level_sizes, root_entries = plan_recursion(
+        oram.num_blocks,
+        labels_per_block,
+        posmap.client_budget_bytes // posmap.label_bytes,
+    )
     levels: List[PosmapLevel] = []
-    entries = oram.num_blocks
     node_base = geometry.num_nodes
-    while entries > budget_entries:
-        blocks = -(-entries // labels_per_block)
-        if blocks >= entries:
-            raise ConfigError(
-                f"posmap recursion does not converge: level "
-                f"{len(levels) + 1} needs {blocks} blocks for {entries} "
-                f"entries (labels_per_block={labels_per_block})"
-            )
+    for blocks in level_sizes:
         tree = TreeGeometry.for_capacity(
             blocks, oram.bucket_slots, oram.utilization
         )
@@ -179,16 +165,15 @@ def plan_layout(
             )
         )
         node_base += tree.num_nodes
-        entries = blocks
     layout = PosmapLayout(
         num_blocks=oram.num_blocks,
         labels_per_block=labels_per_block,
         label_bytes=posmap.label_bytes,
         client_budget_bytes=posmap.client_budget_bytes,
         levels=levels,
-        root_entries=entries,
+        root_entries=root_entries,
     )
-    sentinel = layout.sentinel
+    sentinel = (1 << (8 * posmap.label_bytes)) - 1  # all-ones: "never assigned"
     for child in [geometry] + [level.geometry for level in levels]:
         if child.num_leaves > sentinel:
             raise ConfigError(

@@ -617,9 +617,7 @@ class TestBatchSimulatorOverFileBackend:
             backend=backend,
         )
         oram = PathOram(oram_config, rng=random.Random(5), memory=memory)
-        payloads = {
-            addr: f"p{addr}".encode().ljust(16, b"\x00") for addr in range(20)
-        }
+        payloads = {addr: f"p{addr}" for addr in range(20)}
         for addr, payload in payloads.items():
             oram.write(addr, payload)
         for addr, payload in payloads.items():

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, DecryptionError
-from repro.oram import encryption
-from repro.oram.blocks import DUMMY_ADDR, Block, Bucket
+from repro.oram import encryption, records
+from repro.oram.blocks import Block, Bucket
 from repro.oram.encryption import (
     CounterModeCipher,
     NullCipher,
-    make_cipher,
     open_state,
     promotion_counter,
     seal_state,
@@ -62,17 +61,17 @@ class TestCounterModeCipher:
         opened = self.cipher.open(self.cipher.seal(bucket, 4), 4)
         block = opened.find(3)
         assert block.leaf == 5
-        assert block.payload.rstrip(b"\x00") == b"hello"
+        assert block.payload == b"hello"
 
     def test_roundtrip_int_payload(self):
         bucket = bucket_with(Block(3, 5, 1234567))
         opened = self.cipher.open(self.cipher.seal(bucket, 4), 4)
-        value = int.from_bytes(opened.find(3).payload, "little", signed=True)
-        assert value == 1234567
+        value = opened.find(3).payload
+        assert type(value) is int and value == 1234567
 
     def test_roundtrip_none_payload(self):
         opened = self.cipher.open(self.cipher.seal(bucket_with(Block(3, 5)), 4), 4)
-        assert opened.find(3).payload == bytes(16)
+        assert opened.find(3).payload is None
 
     def test_probabilistic_reencryption(self):
         """The same plaintext bucket seals to different ciphertexts."""
@@ -107,9 +106,25 @@ class TestCounterModeCipher:
             self.cipher.seal(bucket, 4)
 
     def test_object_payload_rejected(self):
-        bucket = bucket_with(Block(1, 1, ("tuple",)))
-        with pytest.raises(ConfigError):
-            self.cipher.seal(bucket, 4)
+        """Not a cipher decision: the record codec refuses it, so both
+        ciphers raise the same ``TypeError``."""
+        for payload in (("tuple",), True, {"a": 1}, bytearray(b"x"), 1.5):
+            bucket = bucket_with(Block(1, 1, payload))
+            for cipher in (self.cipher, NullCipher()):
+                with pytest.raises(TypeError, match="None, int, bytes or str"):
+                    cipher.seal(bucket, 4)
+
+    def test_old_fixed_slot_ciphertext_rejected(self):
+        """The deleted format was ``16 + Z * (16 + block_bytes)`` bytes;
+        no (Z, block_bytes) makes that the new length, so an old image
+        fails the length check instead of being misparsed."""
+        for block_bytes in (1, 7, 8, 16, 64):
+            cipher = CounterModeCipher(b"k", block_bytes)
+            for z in (1, 2, 4, 8):
+                old = bytes(16 + z * (16 + block_bytes))
+                assert len(cipher.seal(Bucket(z), z)) != len(old)
+                with pytest.raises(DecryptionError, match="length"):
+                    cipher.open(old, z)
 
     def test_overfull_bucket_rejected(self):
         bucket = bucket_with(Block(1, 0), Block(2, 0), capacity=4)
@@ -134,7 +149,7 @@ class TestCounterModeCipher:
         self.cipher.restore(promoted)
         sealed = self.cipher.seal(bucket, 4)
         assert int.from_bytes(sealed[:16], "little") == promoted + 1
-        assert self.cipher.open(sealed, 4).find(1).payload[:1] == b"x"
+        assert self.cipher.open(sealed, 4).find(1).payload == b"x"
 
     def test_counter_prefix_readable_by_wal_scan(self, tmp_path):
         """Recovery harvests burned counters from the clear prefix."""
@@ -151,12 +166,15 @@ class TestBucketKeystream:
     KEY = b"kat-bucket-key"
     COUNTER = 0x0102030405060709
     BUCKET = (Block(3, 5, b"hello"), Block(9, 2, 1234567))
+    # Re-captured once, when the plaintext became the packed-record
+    # image (was the 144-byte fixed-slot 09070605…1ae3f7ac at 293f41c);
+    # the keystream under it did not change.
     SEALED = bytes.fromhex(
-        "09070605040302010000000000000000da1042ec2abf8481a18e0169c091abcd"
-        "483ddddd78cb2cb58b2ca42459944757021573e74b95128e6c462c0d47e1a119"
-        "3599d4922385d53a57bb9627fa60992ed145cd82a8349fbce1371d582c581d58"
-        "a8957ef82fe0c74eae4b239518bc83ffe1587cb8faeba1956f6331eef1abdf67"
-        "e4e78dcfdc3f2d7182d605dd1ae3f7ac"
+        "09070605040302010000000000000000db1342ec2abf8481a48b0169c091abcd"
+        "205ab4b17fae40d9e425a424599447570b1773e74b95128e6e47240dc037b319"
+        "b24fc6922385d53a57bb9627fa60992e2eba327d57cb6043e1371d582c581d58"
+        "99e89372d99efd1e289ab6fed076e2e71ea7834705145e6a6f6331eef1abdf67"
+        "d59a60452a411721040790b6d22996b4317ded8af67e3a5086d1956bc8"
     )
 
     def sealed_once(self) -> bytes:
@@ -168,23 +186,27 @@ class TestBucketKeystream:
         """Deterministic given (key, counter, bucket); Z=4, 16-byte blocks."""
         assert self.sealed_once() == self.SEALED
         opened = CounterModeCipher(self.KEY, block_bytes=16).open(self.SEALED, 4)
-        assert [(b.addr, b.leaf) for b in opened.blocks] == [(3, 5), (9, 2)]
+        assert [(b.addr, b.leaf, b.payload) for b in opened.blocks] == [
+            (3, 5, b"hello"), (9, 2, 1234567)
+        ]
 
-    def test_pad_is_stream_head_and_dummy_padding_its_tail(self):
-        """Rebuild the stream from the documented construction: its head
-        decrypts the body, and both dummy slots hold its disjoint tail."""
+    def test_pad_is_the_stream_and_plaintext_the_zero_padded_image(self):
+        """Rebuild the stream from the documented construction: it
+        decrypts the body to exactly what ``NullCipher`` would store,
+        zero-padded to ``1 + Z * (REC_BYTES + block_bytes)``."""
         counter = self.COUNTER.to_bytes(16, "little")
         assert self.SEALED[:16] == counter
+        body = 1 + 4 * (records.REC_BYTES + 16)
+        assert len(self.SEALED) == 16 + body
         stream = hashlib.shake_256(
             len(self.KEY).to_bytes(8, "little")
             + self.KEY
             + b"repro.oram.bucket-keystream"
             + counter
-        ).digest(4 * 32 + 16)
-        image = bytes(a ^ b for a, b in zip(self.SEALED[16:], stream))
-        dummy = DUMMY_ADDR.to_bytes(8, "little", signed=True) + bytes(8)
-        assert image[64:96] == image[96:128] == dummy + stream[128:]
-        assert image[16:32] == b"hello".ljust(16, b"\x00")
+        ).digest(body)
+        image = counter + bytes(a ^ b for a, b in zip(self.SEALED[16:], stream))
+        packed = records.pack(self.COUNTER, self.BUCKET)
+        assert image == packed.ljust(16 + body, b"\x00")
 
     def test_bucket_and_checkpoint_streams_are_domain_separated(self):
         """Same key, same 16 counter/nonce bytes: unrelated pads."""
@@ -277,14 +299,6 @@ class TestSealedStateKnownAnswer:
         assert open_state(self.KEY, sealed) == plaintext
 
 
-class TestFactory:
-    def test_kinds(self):
-        assert isinstance(make_cipher("null"), NullCipher)
-        assert isinstance(make_cipher("counter"), CounterModeCipher)
-        with pytest.raises(ConfigError):
-            make_cipher("rot13")
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     payloads=st.lists(
@@ -302,4 +316,111 @@ def test_roundtrip_property(payloads, leaf):
     for index, payload in enumerate(payloads):
         stored = opened.find(index + 1)
         assert stored.leaf == leaf
-        assert stored.payload == payload.ljust(16, b"\x00")
+        assert stored.payload == payload
+
+
+# ------------------------------------------------- one image, two ciphers
+
+_Z = 4
+_BLOCK_BYTES = 16
+
+_CIPHERS = pytest.mark.parametrize(
+    "make",
+    [NullCipher, lambda: CounterModeCipher(b"k", _BLOCK_BYTES)],
+    ids=["null", "counter"],
+)
+
+#: Every payload type the record codec admits, each within
+#: ``_BLOCK_BYTES`` once encoded.
+_PAYLOADS = st.one_of(
+    st.none(),
+    st.integers(-(1 << 63), (1 << 63) - 1),
+    st.integers(1 << 64, (1 << 127) - 1),
+    st.binary(max_size=_BLOCK_BYTES),
+    st.text(max_size=_BLOCK_BYTES).filter(
+        lambda text: len(text.encode()) <= _BLOCK_BYTES
+    ),
+)
+_BUCKETS = st.lists(_PAYLOADS, max_size=_Z).map(
+    lambda payloads: [
+        Block(index + 1, 7 * index, payload)
+        for index, payload in enumerate(payloads)
+    ]
+)
+
+
+@_CIPHERS
+@settings(max_examples=100, deadline=None)
+@given(blocks=_BUCKETS)
+def test_payloads_come_back_with_their_type_and_length(make, blocks):
+    """``None``/int/bytes/str survive either cipher unchanged — no NUL
+    padding, no int-to-bytes collapse — and the real cipher's ciphertext
+    has one length whatever the bucket holds."""
+    cipher = make()
+    sealed = cipher.seal_blocks(blocks, _Z)
+    opened = cipher.open_blocks(sealed, _Z)
+    assert [(b.addr, b.leaf) for b in opened] == [(b.addr, b.leaf) for b in blocks]
+    for got, want in zip(opened, blocks):
+        assert type(got.payload) is type(want.payload)
+        assert got.payload == want.payload
+    if isinstance(cipher, CounterModeCipher):
+        assert len(sealed) == len(cipher.seal(Bucket(_Z), _Z))
+        assert len(sealed) == 17 + _Z * (records.REC_BYTES + _BLOCK_BYTES)
+
+
+@_CIPHERS
+@settings(max_examples=300, deadline=None)
+@given(
+    blocks=_BUCKETS,
+    position=st.integers(0, 1 << 16),
+    flip=st.integers(1, 255),
+    truncate=st.booleans(),
+)
+def test_hostile_image_opens_well_formed_or_is_a_decryption_error(
+    make, blocks, position, flip, truncate
+):
+    """Any single-byte mutation or truncation of a sealed image opens
+    to at most Z well-formed blocks or raises ``DecryptionError`` —
+    never ``UnicodeDecodeError``, ``struct.error`` or an over-full
+    bucket."""
+    cipher = make()
+    image = bytearray(cipher.seal_blocks(blocks, _Z))
+    position %= len(image)
+    if truncate:
+        del image[position:]
+    else:
+        image[position] ^= flip
+    try:
+        opened = cipher.open_blocks(bytes(image), _Z)
+    except DecryptionError:
+        return
+    assert len(opened) <= _Z
+    for block in opened:
+        assert type(block.addr) is int and type(block.leaf) is int
+        assert type(block.payload) in (type(None), int, bytes, str)
+
+
+@_CIPHERS
+def test_overfull_image_is_rejected_on_open(make):
+    """A sealed image claiming more blocks than the bucket has slots is
+    corrupt, whichever cipher opens it."""
+    cipher = make()
+    four = [Block(index + 1, 0, None) for index in range(4)]
+    image = bytearray(cipher.seal_blocks(four, 4))
+    image[16] ^= 4 ^ 9  # the block count; an XOR pad passes the flip through
+    with pytest.raises(DecryptionError, match="claims 9 blocks, capacity 4"):
+        cipher.open_blocks(bytes(image), 4)
+    nine = records.pack(1, [Block(index + 1, 0, None) for index in range(9)])
+    with pytest.raises(DecryptionError, match="claims 9 blocks, capacity 4"):
+        NullCipher().open_blocks(nine, 4)
+
+
+def test_corrupt_text_payload_is_a_decryption_error():
+    """A flipped byte inside a ``str`` payload used to escape as
+    ``UnicodeDecodeError``."""
+    image = bytearray(records.pack(1, [Block(1, 2, "héllo")]))
+    image[records.HEADER_BYTES + records.REC_BYTES + 1] = 0xFF
+    with pytest.raises(DecryptionError, match="corrupt text payload"):
+        records.unpack_from(bytes(image))
+    with pytest.raises(DecryptionError):
+        NullCipher().open_blocks(bytes(image), 4)

@@ -162,14 +162,14 @@ def _replica_config(tmp_path) -> ReplicaConfig:
     )
 
 
-def _opened(engine: ObliviousEngine, sealed: bytes, strip: bytes) -> tuple:
+def _opened(engine: ObliviousEngine, sealed: bytes) -> tuple:
     """A sealed bucket below the ciphertext: the clear counter prefix
-    and the blocks it opens to (payloads less trailing ``strip``)."""
+    and the blocks it opens to."""
     store = engine.store
     return (
         bytes(sealed[:16]),
         [
-            (block.addr, block.leaf, bytes(block.payload).rstrip(strip))
+            (block.addr, block.leaf, block.payload)
             for block in store.cipher.open_blocks(sealed, store.bucket_slots)
         ],
     )
@@ -182,11 +182,9 @@ def _drive_engine(engine: ObliviousEngine, *, binary: bool = False,
     the real cipher, ``image_plain``/``wal_plain`` digest the same image
     and WAL opened — what must survive a ciphertext-format change.
 
-    ``binary`` makes the values short ``bytes`` and strips trailing NULs
-    from everything read back (a fixed-slot bucket format pads them on);
-    ``exact_bytes`` makes them exactly that long, nothing stripped."""
+    ``binary`` makes the values short ``bytes``; ``exact_bytes`` makes
+    them exactly that long."""
     results = []
-    strip = b"\x00" if binary else b""
 
     async def scenario():
         rng = random.Random(21)
@@ -204,11 +202,8 @@ def _drive_engine(engine: ObliviousEngine, *, binary: bool = False,
                 if not engine.has_pending_real():
                     break
                 await engine.run_access()
-            result = request.result
-            if isinstance(result, (bytes, bytearray)):
-                result = bytes(result).rstrip(strip)
             results.append((request.op, request.addr, request.found,
-                            result, request.status))
+                            request.result, request.status))
 
     asyncio.run(scenario())
     backend = engine.store.backend
@@ -229,7 +224,7 @@ def _drive_engine(engine: ObliviousEngine, *, binary: bool = False,
     real_cipher = isinstance(engine.store.cipher, CounterModeCipher)
     if real_cipher:
         observed["image_plain"] = _digest(
-            [(node, _opened(engine, sealed, strip))
+            [(node, _opened(engine, sealed))
              for node, sealed in sorted(image.items())]
         )
     if engine.replicator is not None:
@@ -238,8 +233,7 @@ def _drive_engine(engine: ObliviousEngine, *, binary: bool = False,
         if real_cipher:
             observed["wal_plain"] = _digest(
                 [(r.seq, r.leaf,
-                  [(node, *_opened(engine, sealed, strip))
-                   for node, sealed in r.writes])
+                  [(node, *_opened(engine, sealed)) for node, sealed in r.writes])
                  for r in wal]
             )
     engine.close()
@@ -279,11 +273,13 @@ ENGINE_REPLICATED_GOLDEN = {
         "867774c83acba6fd172446cb08aab3c7"
         "34b3f49cbe1a2f6863117feabfe64a72"
     ),
-    # Ciphertext: re-captured once, when the bucket keystream became one
-    # SHAKE-256 squeeze (was dc304714…61f3e4f9 at 74ad3a0..cb02a95).
+    # Ciphertext: re-captured once when the bucket keystream became one
+    # SHAKE-256 squeeze (was dc304714…61f3e4f9 at 74ad3a0..cb02a95) and
+    # once when the plaintext under it became the packed-record image
+    # (was 847632d5…d0a8a404 at 293f41c..99c9e8a).
     "image": (
-        "847632d535fc318ff85e0fbf3159d110"
-        "a52105d62636f3e2668b3fcfd0a8a404"
+        "0431c2d1bb5fd56b6d94d828a4f3eea8"
+        "b7f47376fbbc5093309be1a59f504b0c"
     ),
     "results": (
         "074f299cd025f3d333b4688fc4d711e6"
@@ -293,16 +289,18 @@ ENGINE_REPLICATED_GOLDEN = {
         "8eba85dd87db5322dbb162b96c9256c2"
         "fecb48162dfbfe4fb7031d292a1879a6"
     ),
-    # Ciphertext, re-captured with "image" (was cf0fdd9e…0ab6266d).
+    # Ciphertext, re-captured with "image" (was cf0fdd9e…0ab6266d, then
+    # bf47b797…7f64b177).
     "wal": (
-        "bf47b79701652a41d6b8d96336d4e5ba"
-        "f5d19fe1606d5f0fc40502ab7f64b177"
+        "ff241c871444d073437abb6868aa2ff1"
+        "67330d3bc728aa8268f2e6be5c20417a"
     ),
     # Plaintext level: the image and the WAL opened (counter prefix +
-    # blocks per bucket, payloads less trailing NULs), captured at
-    # dd45e42 while buckets were still fixed slots. Their NUL-padded
-    # predecessors (2decfb2b…236e691d, 06be0176…b2a904a0, captured at
-    # cb02a95) pinned the padding itself.
+    # blocks per bucket). Captured at dd45e42, while buckets were fixed
+    # slots, with the NUL padding stripped test-side (as "results" was);
+    # the packed image pads nothing, so nothing is stripped any more.
+    # Their NUL-padded predecessors (2decfb2b…236e691d,
+    # 06be0176…b2a904a0, captured at cb02a95) pinned the padding itself.
     "image_plain": (
         "2f325b2b78f7eaaa9cb026ebbea9b7db"
         "520c14a1cf05612db13967d6d996acc4"
@@ -312,7 +310,8 @@ ENGINE_REPLICATED_GOLDEN = {
         "ef7250b48a4be2857615198feeea9f65"
     ),
 }
-#: Values of exactly ``block_bytes``, nothing stripped (dd45e42).
+#: Values of exactly ``block_bytes``: nothing to strip before or after
+#: the format change (captured at dd45e42).
 ENGINE_REPLICATED_EXACT_GOLDEN = {
     "trace": ENGINE_REPLICATED_GOLDEN["trace"],
     "records": ENGINE_REPLICATED_GOLDEN["records"],
@@ -404,8 +403,8 @@ class TestServeEngineEquivalence:
 
     def test_replicated_engine_exact_block_values(self, tmp_path):
         """Same run with values of exactly ``block_bytes``: the opened
-        image, WAL and results match with nothing stripped anywhere.
-        (The ciphertext digests are pinned by the test above.)"""
+        image, WAL and results of the fixed-slot format, which never
+        needed stripping. (The ciphertext digests are pinned above.)"""
         config = _serve_config(replica=_replica_config(tmp_path))
         engine = ObliviousEngine(
             config,

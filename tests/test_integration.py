@@ -46,26 +46,17 @@ def full_stack_config(seed: int = 0) -> SystemConfig:
     )
 
 
-def normalise(value, block_bytes: int):
-    """Counter-mode storage serialises int payloads to padded bytes."""
-    if isinstance(value, bytes):
-        return int.from_bytes(value, "little", signed=True)
-    return value
-
-
-def replay_check(completed, block_bytes: int = 32) -> None:
+def replay_check(completed) -> None:
+    """Every read returns the latest earlier write — an int stays an
+    int and a never-written address reads ``None``, sealed or not."""
     latest: dict[int, object] = {}
     for request in sorted(completed, key=lambda r: r.arrival_ns):
         if request.is_write:
             latest[request.addr] = request.payload
         else:
             expected = latest.get(request.addr)
-            got = normalise(request.value, block_bytes)
-            assert got == expected or (expected is None and got == 0), (
-                request.addr,
-                got,
-                expected,
-            )
+            assert request.value == expected, (request.addr, request.value, expected)
+            assert type(request.value) is type(expected)
 
 
 class TestFullStack:

@@ -6,9 +6,18 @@ import random
 
 import pytest
 
+from repro.config import PosmapConfig, small_test_config
 from repro.errors import ConfigError
-from repro.oram.posmap import PositionMap, RecursiveAddressSpace
+from repro.oram.posmap import (
+    PositionMap,
+    RecursiveAddressSpace,
+    empty_labels,
+    plan_recursion,
+    read_label,
+    write_label,
+)
 from repro.oram.tree import TreeGeometry
+from repro.posmap.layout import plan_layout
 
 
 class TestPositionMap:
@@ -122,6 +131,60 @@ class TestRecursiveAddressSpace:
             RecursiveAddressSpace(0, 16)
         with pytest.raises(ConfigError):
             RecursiveAddressSpace(10, 1)
+
+
+class TestOneRecursionPlan:
+    def test_levels_until_the_root_fits(self):
+        assert plan_recursion(4096, 16, 64) == ([256, 16], 16)
+        assert plan_recursion(100, 16, 100) == ([], 100)
+        assert plan_recursion(101, 16, 100) == ([7], 7)
+
+    def test_non_convergence_is_a_config_error(self):
+        """One entry that still exceeds the budget can never shrink."""
+        with pytest.raises(ConfigError, match="does not converge"):
+            plan_recursion(1, 16, 0)
+        with pytest.raises(ConfigError, match="does not converge"):
+            RecursiveAddressSpace(8, 2, label_bytes=4, onchip_bytes=3)
+
+    @pytest.mark.parametrize("budget", [64, 128, 256, 1024, 1 << 20])
+    @pytest.mark.parametrize("labels_per_block", [2, 4, 16])
+    def test_simulator_and_service_plan_the_same_levels(
+        self, budget, labels_per_block
+    ):
+        oram = small_test_config(10, block_bytes=64)
+        space = RecursiveAddressSpace(
+            oram.num_blocks, labels_per_block, label_bytes=4, onchip_bytes=budget
+        )
+        layout = plan_layout(
+            oram,
+            PosmapConfig(
+                mode="recursive",
+                client_budget_bytes=budget,
+                labels_per_block=labels_per_block,
+            ),
+            TreeGeometry(oram.levels),
+        )
+        assert [level.entries for level in layout.levels] == space.level_sizes
+        assert layout.root_entries == space.onchip_entries
+        for addr in (0, 1, 777, oram.num_blocks - 1):
+            for level in range(1, space.depth + 1):
+                assert space.slot_of(addr, level) == layout.slot_of(addr, level)
+
+
+class TestPackedLabels:
+    @pytest.mark.parametrize("label_bytes", [1, 2, 4, 8])
+    def test_round_trip_and_sentinel(self, label_bytes):
+        payload = empty_labels(5, label_bytes)
+        assert payload == b"\xff" * (5 * label_bytes)
+        assert all(read_label(payload, s, label_bytes) is None for s in range(5))
+        top = (1 << (8 * label_bytes)) - 2  # largest non-sentinel label
+        updated = write_label(payload, 3, label_bytes, top)
+        updated = write_label(updated, 0, label_bytes, 0)
+        assert type(updated) is bytes and len(updated) == len(payload)
+        assert [read_label(updated, s, label_bytes) for s in range(5)] == [
+            0, None, None, top, None
+        ]
+        assert read_label(payload, 3, label_bytes) is None  # input untouched
 
 
 class TestUnifiedGeometry:

@@ -76,7 +76,7 @@ def test_controller_vs_oracle_any_config(seed, queue, levels):
     expected = []
     for arrival, addr, is_write in events:
         if is_write:
-            oracle.write(addr, ("w", addr, arrival))
+            oracle.write(addr, f"w:{addr}:{arrival}")
         else:
             expected.append(oracle.read(addr))
 
@@ -85,7 +85,7 @@ def test_controller_vs_oracle_any_config(seed, queue, levels):
     ordinal = 0
     for request, (arrival, addr, is_write) in zip(trace, events):
         if is_write:
-            request.payload = ("w", addr, arrival)
+            request.payload = f"w:{addr}:{arrival}"
     config = SystemConfig(
         oram=small_test_config(levels),
         scheduler=SchedulerConfig(label_queue_size=queue),

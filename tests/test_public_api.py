@@ -6,6 +6,9 @@ pins that contract.
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import pytest
 
 import repro
@@ -18,6 +21,31 @@ from repro.errors import (
     ReproError,
     StashOverflowError,
 )
+
+
+class TestNoDeserialisationOfUntrustedBytes:
+    #: The one module allowed an evaluating deserialiser: the checkpoint
+    #: body, opened only behind the sealed envelope's digest check.
+    ALLOWED = {"replica/checkpoint.py"}
+    BANNED = {"pickle", "marshal", "shelve"}
+
+    def test_only_the_checkpoint_module_imports_pickle(self):
+        root = pathlib.Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            relative = path.relative_to(root).as_posix()
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                for name in names:
+                    if name.split(".")[0] in self.BANNED:
+                        offenders.append((relative, name))
+        assert {module for module, _ in offenders} <= self.ALLOWED, offenders
+        assert offenders  # the walk sees imports: the allowed one is found
 
 
 class TestTopLevelExports:

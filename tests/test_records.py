@@ -7,7 +7,9 @@ one of these images. The properties pinned here:
 
 * round-trip: ``pack``/``pack_into`` then ``unpack_from`` reproduces
   every block — address, leaf, payload value *and* payload type
-  (``bool`` must not collapse to ``int``, huge ints must survive);
+  (huge ints and lone-surrogate text must survive); anything but
+  ``None``/int/bytes/str is a ``TypeError`` (``bool`` must not
+  collapse to ``int``);
 * framing: ``pack_into`` writes byte-for-byte the same image as
   ``pack``, at any slab offset;
 * rejection: every strict truncation and structural corruption (bad
@@ -30,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro import fork_path_scheduler
 from repro.core.controller import ForkPathController
-from repro.errors import DecryptionError
+from repro.errors import ConfigError, DecryptionError
 from repro.experiments.common import SMALL, base_config
 from repro.oram import records
 from repro.oram.blocks import Block
@@ -41,8 +43,8 @@ from repro.workloads.trace import TraceSource
 _I64 = st.integers(-(1 << 63), (1 << 63) - 1)
 
 #: Payloads covering every tag: None, machine ints, ints past the i64
-#: fast path, bytes, text, and pickle-only objects (bool is an int
-#: subclass — the codec must keep its exact type).
+#: fast path, bytes, and text (lone surrogates included — the JSON wire
+#: can deliver them).
 _PAYLOADS = st.one_of(
     st.none(),
     _I64,
@@ -50,8 +52,7 @@ _PAYLOADS = st.one_of(
     st.integers(-(1 << 80), -(1 << 64)),
     st.binary(max_size=200),
     st.text(max_size=80),
-    st.booleans(),
-    st.tuples(st.integers(0, 9), st.text(max_size=8)),
+    st.text(st.characters(min_codepoint=0xD7F0, max_codepoint=0xE010), max_size=8),
 )
 
 _BLOCKS = st.lists(
@@ -154,8 +155,22 @@ class TestRejection:
 
     def test_oversized_payload_rejected_at_pack_time(self):
         block = Block(1, 2, b"x" * 70_000)
-        with pytest.raises(DecryptionError):
+        with pytest.raises(ConfigError):
             records.pack(1, [block])
+        with pytest.raises(ConfigError, match="17 bytes exceeds the 16-byte"):
+            records.pack(1, [Block(1, 2, "x" * 17)], 16)
+
+    @pytest.mark.parametrize(
+        "payload", [True, (1, "a"), {"a": 1}, [1], 1.5, bytearray(b"x")]
+    )
+    def test_object_payload_is_a_type_error(self, payload):
+        """No escape hatch: nothing is pickled, so nothing read back
+        from storage can be unpickled."""
+        with pytest.raises(TypeError, match="None, int, bytes or str"):
+            records.pack(1, [Block(1, 2, payload)])
+        buf = bytearray(256)
+        with pytest.raises(TypeError):
+            records.pack_into(buf, 0, len(buf), 1, [Block(1, 2, payload)])
 
 
 class TestFlatNodeStore:

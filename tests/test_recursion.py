@@ -8,6 +8,7 @@ import pytest
 
 from repro.config import RecursionConfig, small_test_config
 from repro.errors import ProtocolError
+from repro.oram.posmap import empty_labels, read_label
 from repro.oram.recursion import RecursiveOram
 
 
@@ -98,8 +99,17 @@ class TestHierarchyMechanics:
             candidates.extend(oram.memory.peek_bucket(node))
         for block in candidates:
             if oram.space.is_posmap_addr(block.addr) and block.payload:
-                assert isinstance(block.payload, dict)
-                for child, label in block.payload.items():
+                recursion = oram.recursion
+                assert len(block.payload) == len(
+                    empty_labels(recursion.labels_per_block, recursion.label_bytes)
+                )
+                labels = [
+                    read_label(block.payload, slot, recursion.label_bytes)
+                    for slot in range(recursion.labels_per_block)
+                ]
+                assigned = [label for label in labels if label is not None]
+                assert assigned
+                for label in assigned:
                     assert 0 <= label < oram.geometry.num_leaves
                 found_label_map = True
         assert found_label_map

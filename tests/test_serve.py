@@ -23,6 +23,8 @@ inside plain sync test functions.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import itertools
 import json
 import os
 
@@ -41,8 +43,8 @@ from repro.errors import BackendError, ConfigError, ProtocolError, TransientBack
 from repro.obs.schema import validate_lines
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
-from repro.oram.encryption import CounterModeCipher
-from repro.oram.memory import UntrustedMemory
+from repro.oram.encryption import CounterModeCipher, NullCipher
+from repro.oram.memory import TraceRecorder, UntrustedMemory
 from repro.replica.replicator import Replicator
 from repro.oram.tree import TreeGeometry
 from repro.security.adversary import (
@@ -249,8 +251,7 @@ class TestBackends:
         memory = UntrustedMemory(geometry, oram.bucket_slots, cipher, backend=backend)
         from repro.oram.blocks import Block
 
-        hello = b"hello".ljust(16, b"\x00")
-        world = b"world".ljust(16, b"\x00")
+        hello, world = b"hello", "wörld"  # read back exactly, unpadded
         memory.write_blocks(5, [Block(1, 2, hello), Block(2, 3, world)])
         backend.close()
 
@@ -803,11 +804,16 @@ class TestService:
         assert (good["id"], good["ok"]) == (2, True)
 
     def test_dead_work_loop_fails_clients_and_stop_reraises(self):
-        """A ``str`` payload is a ``ConfigError`` in ``CounterModeCipher``
-        at write-back — inside the work loop, after the put itself was
-        acknowledged. The loop is dead; nothing it owed may hang."""
+        """A cipher that refuses to seal raises at write-back — inside
+        the work loop, after the put itself was acknowledged. The loop
+        is dead; nothing it owed may hang."""
         config = serve_system(levels=5)
-        cipher = CounterModeCipher(b"key", config.oram.block_bytes)
+
+        class RefusingCipher(NullCipher):
+            def seal_blocks(self, blocks, capacity):
+                raise ConfigError("refusing to seal: got str")
+
+        cipher = RefusingCipher()
 
         async def read(reader):
             return await asyncio.wait_for(protocol.read_message(reader), 2.0)
@@ -850,6 +856,66 @@ class TestService:
         service, result = run_service_scenario(config, clients=3, requests=10)
         assert (result.lost, result.mismatches) == (0, 0)
         assert service.engine.underfull_rounds == 0
+
+
+class TestSealedService:
+    """A real cipher behind the wire: the JSON protocol carries ``str``
+    values, and ``CounterModeCipher`` seals the same packed records
+    ``NullCipher`` stores, so a sealed service serves them exactly."""
+
+    @pytest.mark.parametrize("mode", ["flat", "recursive"])
+    def test_counter_mode_service_serves_str_values_over_tcp(self, mode):
+        config = dataclasses.replace(
+            serve_system(levels=6),
+            posmap=PosmapConfig(mode=mode, client_budget_bytes=64),
+        )
+        backend = InMemoryBackend(TraceRecorder())
+        cipher = CounterModeCipher(b"wire-key", config.oram.block_bytes)
+
+        async def scenario():
+            service = OramService(config, backend=backend, cipher=cipher)
+            assert service.engine.posmap.requires_chain == (mode == "recursive")
+            host, port = await service.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            ids = itertools.count(1)
+
+            async def call(op, addr, **extra):
+                message = {"id": next(ids), "op": op, "addr": addr, **extra}
+                await protocol.write_message(writer, message)
+                response = await asyncio.wait_for(
+                    protocol.read_message(reader), 5.0
+                )
+                assert response["ok"], response
+                return response.get("found"), response.get("value")
+
+            full = "ü" * (config.oram.block_bytes // 2)  # exactly block_bytes
+            assert await call("get", 3) == (False, None)
+            await call("put", 3, value="héllo wörld")
+            assert await call("get", 3) == (True, "héllo wörld")
+            await call("put", 3, value=full)
+            assert await call("get", 3) == (True, full)
+            await call("put", 3, value="")  # shorter: no stale tail, no padding
+            assert await call("get", 3) == (True, "")
+            assert (await call("delete", 3))[0] is True
+            assert await call("get", 3) == (False, None)
+            writer.close()
+            await writer.wait_closed()
+            result = await run_loadgen(
+                host, port, clients=2, requests=20,
+                num_blocks=config.oram.num_blocks, seed=5,
+            )
+            await service.stop()
+            return service, result
+
+        service, result = asyncio.run(scenario())
+        assert (result.sent, result.completed) == (40, 40)
+        assert (result.lost, result.failed, result.mismatches) == (0, 0, 0)
+        sealed = set(map(len, backend.data.values()))
+        assert len(sealed) == 1  # one ciphertext length, whatever a bucket holds
+        engine = service.engine
+        assert verify_engine_trace(engine, backend.trace.events) == len(
+            engine.records
+        )
 
 
 # ------------------------------------------------------------------- security
